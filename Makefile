@@ -47,9 +47,9 @@ bench-smoke:
 	go run ./cmd/lotec-bench -figure 3 -smoke
 
 # Observe-predict-calibrate gate: the zipf-hot spec runs on the simulator
-# (dedicated-directory topology) and on a real in-process TCP cluster;
-# commit/abort counts must match exactly and traffic volume must agree
-# within tolerance. Writes the predicted-vs-measured table into a scratch
+# (one unreplicated directory host, as on TCP) and on a real in-process TCP
+# cluster; commit/abort counts must match exactly and traffic volume must
+# agree within tolerance. Writes the predicted-vs-measured table into a scratch
 # file so the committed BENCH_results.json is not touched by CI.
 calibrate-smoke:
 	go run ./cmd/lotec-bench -calibrate -workload zipf-hot -json /tmp/lotec-calibration.json

@@ -44,8 +44,8 @@ import (
 
 // Service is the directory API the rest of the system programs against —
 // exactly the shape of *gdo.Directory, which satisfies it, as does
-// *Sharded. The node engine, the simulation cluster and the TCP GDO server
-// all accept a Service, so a deployment picks its partitioning by
+// *Sharded. Serve answers wire requests from any Service, so the
+// in-engine directory and every Host shard pick their partitioning by
 // construction, not by code changes.
 type Service interface {
 	Register(obj ids.ObjectID, numPages int, owner ids.NodeID) error
@@ -56,6 +56,7 @@ type Service interface {
 	PageMap(obj ids.ObjectID) ([]gdo.PageLoc, error)
 	CopySet(obj ids.ObjectID) ([]ids.NodeID, error)
 	CommitSeq(f ids.FamilyID) (uint64, bool)
+	AssignCommitSeq(f ids.FamilyID) uint64
 	LastWriter(obj ids.ObjectID) (ids.NodeID, error)
 	Acquire(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID, age uint64, site ids.NodeID, mode o2pl.Mode) (gdo.AcquireResult, []gdo.Event, error)
 	Release(family ids.FamilyID, site ids.NodeID, commit bool, rels []gdo.ObjectRelease) ([]gdo.Event, []gdo.PageStamp, error)

@@ -141,8 +141,8 @@ func (h *Host) onHandoffShipped(shard int, resp wire.Msg, err error) {
 // racing proposal to lose to, so the shard simply unseals.
 func (h *Host) cancelHandoffLocked(a *acts, rep *replica) {
 	ho := rep.handoff
-	witness := h.cur.Backup[rep.shard]
-	if witness == ids.NoNode || witness == h.self || rep.backupDown {
+	witness := h.liveBackupLocked(rep)
+	if witness == ids.NoNode {
 		rep.handoff = nil
 		h.unsealLocked(a, rep)
 		a.reply(ho.done, &wire.HandoffStartResp{OK: false, Map: h.cur.Clone()})

@@ -115,9 +115,12 @@ type replica struct {
 
 // repOp is one entry of a shard's op log.
 type repOp struct {
-	seq        uint64
-	client     ids.NodeID
-	opBytes    []byte // encoded client op; nil for decision-only entries
+	seq    uint64
+	client ids.NodeID
+	// opBytes and replyBytes are the encoded client op and reply a
+	// ReplicateReq ships. Both are nil for decision-only entries and for
+	// ops applied while the shard had no live backup.
+	opBytes    []byte
 	reply      wire.Msg
 	replyBytes []byte
 	events     []gdo.Event
@@ -171,6 +174,14 @@ func NewHost(cfg HostConfig) *Host {
 // requests from primed entries).
 func (h *Host) Handler() transport.AsyncHandler {
 	return h.dedup.WrapAsync(h.handle)
+}
+
+// HostRequests lists the message types Handler serves, for transports that
+// dispatch by type.
+var HostRequests = []wire.MsgType{
+	wire.TAcquireReq, wire.TReleaseReq, wire.TCommitSeqReq, wire.TRegisterReq, wire.TCopySetReq,
+	wire.TReplicateReq, wire.TPromoteReq, wire.TEpochChangeReq, wire.THandoffStartReq,
+	wire.THandoffReq, wire.TWaitEdgeUpdate, wire.TAbortFamilyReq,
 }
 
 // Self returns the host's node ID.
@@ -257,44 +268,18 @@ func (a *acts) events(evs []gdo.Event) {
 	if len(evs) == 0 {
 		return
 	}
-	a.fns = append(a.fns, func() { a.h.routeEvents(evs) })
+	env := a.h.env
+	a.fns = append(a.fns, func() { Notify(env, evs) })
 }
 
 func (a *acts) proc(fn func()) {
-	a.fns = append(a.fns, func() { a.h.env.Go(fn) })
+	env := a.h.env
+	a.fns = append(a.fns, func() { env.Go(fn) })
 }
 
 func (a *acts) run() {
 	for _, fn := range a.fns {
 		fn()
-	}
-}
-
-// routeEvents ships deferred directory decisions to the affected sites,
-// exactly as the in-engine GDO host does (Alg 4.4 notifications).
-func (h *Host) routeEvents(events []gdo.Event) {
-	for _, ev := range events {
-		switch ev.Kind {
-		case gdo.EventGrant:
-			_ = h.env.Send(ev.Site, &wire.Grant{
-				Obj:        ev.Obj,
-				Family:     ev.Family,
-				Mode:       ev.Mode,
-				Upgrade:    ev.Upgrade,
-				NumPages:   int32(ev.NumPages),
-				LastWriter: ev.LastWriter,
-				Shard:      ev.Shard,
-				Reqs:       ev.Reqs,
-				PageMap:    ev.PageMap,
-			})
-		case gdo.EventDeadlockAbort:
-			_ = h.env.Send(ev.Site, &wire.Abort{
-				Obj:    ev.Obj,
-				Family: ev.Family,
-				Shard:  ev.Shard,
-				Reqs:   ev.Reqs,
-			})
-		}
 	}
 }
 
@@ -419,75 +404,62 @@ func (h *Host) enqueueLocked(a *acts, rep *replica, op *repOp) {
 	h.pumpLocked(a, rep)
 }
 
-// applyLocked executes one client op against rep's directory and returns
-// the log entry, plus decision-only entries for any *other* primary shards
-// a host-level deadlock decision touched (keyed by shard).
+// applyLocked serves one client op from rep's directory and returns the
+// log entry, plus decision-only entries for any *other* primary shards a
+// host-level deadlock decision touched (keyed by shard).
 func (h *Host) applyLocked(rep *replica, from ids.NodeID, m wire.Msg) (*repOp, map[int]*repOp, wire.Msg) {
-	op := &repOp{client: from}
+	reply, events := Serve(rep.dir, m)
+	if _, failed := reply.(*wire.ErrResp); failed {
+		return nil, nil, reply
+	}
+	op := &repOp{client: from, reply: reply, events: stamp(rep.shard, events)}
 	var extras map[int]*repOp
 	switch t := m.(type) {
 	case *wire.AcquireReq:
-		res, events, err := rep.dir.Acquire(t.Obj, t.Ref, t.Family, t.Age, t.Site, t.Mode)
-		if err != nil {
-			return nil, nil, &wire.ErrResp{Msg: err.Error()}
-		}
-		op.events = stamp(rep.shard, events)
-		if res.Status == gdo.Queued {
+		if reply.(*wire.AcquireResp).Status == gdo.Queued {
 			if victim, found := h.findVictimLocked(t.Family); found {
 				extras = h.applyVictimLocked(rep, op, victim, victim == t.Family)
 				if victim == t.Family {
-					res = gdo.AcquireResult{Status: gdo.DeadlockAbort}
+					op.reply = &wire.AcquireResp{Obj: t.Obj, Status: gdo.DeadlockAbort, Shard: t.Shard}
 				}
 			}
 		}
-		op.reply = &wire.AcquireResp{
-			Obj:        t.Obj,
-			Status:     res.Status,
-			Mode:       res.Mode,
-			NumPages:   int32(res.NumPages),
-			LastWriter: res.LastWriter,
-			Shard:      t.Shard,
-			PageMap:    res.PageMap,
-		}
 	case *wire.ReleaseReq:
-		events, stamps, err := rep.dir.Release(t.Family, t.Site, t.Commit, t.Rels)
-		if err != nil {
-			return nil, nil, &wire.ErrResp{Msg: err.Error()}
-		}
-		op.events = stamp(rep.shard, events)
 		extras = h.sweepLocked(rep, op)
-		op.reply = &wire.ReleaseResp{Shard: t.Shard, Stamps: stamps}
-	case *wire.CommitSeqReq:
-		op.reply = &wire.CommitSeqResp{Seq: rep.dir.AssignCommitSeq(t.Family)}
-	case *wire.RegisterReq:
-		if err := rep.dir.Register(t.Obj, int(t.NumPages), t.Owner); err != nil {
-			return nil, nil, &wire.ErrResp{Msg: err.Error()}
-		}
-		op.reply = &wire.RegisterResp{}
-	default:
-		return nil, nil, &wire.ErrResp{Msg: fmt.Sprintf("directory: %T is not a shard op", m)}
 	}
-	op.opBytes = wire.Encode(wire.Envelope{From: from, To: h.self}, m)
-	op.replyBytes = wire.Encode(wire.Envelope{From: h.self, To: from}, op.reply)
+	// Only a ReplicateReq reads the encoded op and reply. A primary keeps
+	// its map backup until it is deposed, and a backup declared down stays
+	// down, so an op applied with no live backup is never replicated.
+	// Encoding now, not when the ReplicateReq is built, pins the bytes: the
+	// request may be the sender's own value, which a route retry restamps.
+	if h.liveBackupLocked(rep) != ids.NoNode {
+		op.opBytes = wire.Encode(wire.Envelope{From: from, To: h.self}, m)
+		op.replyBytes = wire.Encode(wire.Envelope{From: h.self, To: from}, op.reply)
+	}
 	return op, extras, nil
+}
+
+// liveBackupLocked returns the backup a primary replica replicates to, or
+// NoNode when it has none or has declared it down.
+func (h *Host) liveBackupLocked(rep *replica) ids.NodeID {
+	backup := h.cur.Backup[rep.shard]
+	if backup == h.self || rep.backupDown {
+		return ids.NoNode
+	}
+	return backup
 }
 
 // copySetLocked serves the read-only batched copy-set lookup across this
 // host's primary shards. Reads replicate nothing.
 func (h *Host) copySetLocked(t *wire.CopySetReq) wire.Msg {
-	sets := make([]wire.CopySet, 0, len(t.Objs))
 	for _, obj := range t.Objs {
-		rep := h.reps[h.place.ShardOf(obj)]
-		if rep == nil || !rep.primary {
+		if rep := h.reps[h.place.ShardOf(obj)]; rep == nil || !rep.primary {
 			return &wire.RouteResp{Map: h.cur.Clone()}
 		}
-		sites, err := rep.dir.CopySet(obj)
-		if err != nil {
-			return &wire.ErrResp{Msg: err.Error()}
-		}
-		sets = append(sets, wire.CopySet{Obj: obj, Sites: sites})
 	}
-	return &wire.CopySetResp{Sets: sets}
+	return copySets(t, func(obj ids.ObjectID) ([]ids.NodeID, error) {
+		return h.reps[h.place.ShardOf(obj)].dir.CopySet(obj)
+	})
 }
 
 // pumpLocked advances a primary shard's replication pipeline: complete
@@ -499,8 +471,8 @@ func (h *Host) pumpLocked(a *acts, rep *replica) {
 	}
 	for len(rep.queue) > 0 {
 		op := rep.queue[0]
-		backup := h.cur.Backup[rep.shard]
-		if backup == ids.NoNode || backup == h.self || rep.backupDown {
+		backup := h.liveBackupLocked(rep)
+		if backup == ids.NoNode {
 			rep.queue = rep.queue[1:]
 			h.completeLocked(a, op)
 			continue
@@ -630,22 +602,12 @@ func (h *Host) replicateLocked(a *acts, t *wire.ReplicateReq) wire.Msg {
 }
 
 // applyBackupOp replays one client op against a backup replica's
-// directory. The primary already validated it, so errors reduce to
-// no-ops; the returned events are retained for promotion replay only.
+// directory. The primary already validated it and its reply rides the
+// log entry, so the backup's own reply is dropped; the returned events are
+// retained for promotion replay only.
 func (h *Host) applyBackupOp(rep *replica, m wire.Msg) []gdo.Event {
-	switch t := m.(type) {
-	case *wire.AcquireReq:
-		_, events, _ := rep.dir.Acquire(t.Obj, t.Ref, t.Family, t.Age, t.Site, t.Mode)
-		return stamp(rep.shard, events)
-	case *wire.ReleaseReq:
-		events, _, _ := rep.dir.Release(t.Family, t.Site, t.Commit, t.Rels)
-		return stamp(rep.shard, events)
-	case *wire.CommitSeqReq:
-		rep.dir.AssignCommitSeq(t.Family)
-	case *wire.RegisterReq:
-		_ = rep.dir.Register(t.Obj, int(t.NumPages), t.Owner)
-	}
-	return nil
+	_, events := Serve(rep.dir, m)
+	return stamp(rep.shard, events)
 }
 
 // promoteLocked executes client-driven failover: if the reportedly dead

@@ -1,6 +1,7 @@
 package node
 
 import (
+	"lotec/internal/directory"
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
 	"lotec/internal/o2pl"
@@ -27,14 +28,14 @@ func (e *Engine) Handle(from ids.NodeID, m wire.Msg) wire.Msg {
 		return xfer.ServeFetch(e.cfg.Store, e.cfg.Rec, t)
 	case *wire.MultiPushReq:
 		return xfer.ApplyPush(e.cfg.Store, e.cfg.Rec, t)
-	case *wire.AcquireReq:
-		return e.handleGDOAcquire(t)
-	case *wire.ReleaseReq:
-		return e.handleGDORelease(t)
-	case *wire.CopySetReq:
-		return e.handleGDOCopySet(t)
-	case *wire.RegisterReq:
-		return e.handleGDORegister(t)
+	case *wire.AcquireReq, *wire.ReleaseReq, *wire.CommitSeqReq, *wire.CopySetReq, *wire.RegisterReq:
+		// The co-located layout: this site serves its directory partitions.
+		if e.cfg.Dir == nil {
+			return &wire.ErrResp{Msg: "node: not a GDO host"}
+		}
+		reply, events := directory.Serve(e.cfg.Dir, m)
+		directory.Notify(e.env, events)
+		return reply
 	default:
 		return &wire.ErrResp{Msg: "node: unhandled message type"}
 	}
@@ -140,92 +141,4 @@ func (e *Engine) handlePush(req *wire.PushReq) wire.Msg {
 	return xfer.ApplyPush(e.cfg.Store, e.cfg.Rec, &wire.MultiPushReq{
 		Objs: []wire.ObjPayload{{Obj: req.Obj, Pages: req.Pages}},
 	})
-}
-
-// GDO-serving handlers (active when cfg.Dir is set).
-
-func (e *Engine) handleGDOAcquire(req *wire.AcquireReq) wire.Msg {
-	if e.cfg.Dir == nil {
-		return &wire.ErrResp{Msg: "node: not a GDO host"}
-	}
-	res, events, err := e.cfg.Dir.Acquire(req.Obj, req.Ref, req.Family, req.Age, req.Site, req.Mode)
-	if err != nil {
-		return &wire.ErrResp{Msg: err.Error()}
-	}
-	e.routeEvents(events)
-	return &wire.AcquireResp{
-		Obj:        req.Obj,
-		Status:     res.Status,
-		Mode:       res.Mode,
-		NumPages:   int32(res.NumPages),
-		Shard:      req.Shard,
-		PageMap:    res.PageMap,
-		LastWriter: res.LastWriter,
-	}
-}
-
-func (e *Engine) handleGDORelease(req *wire.ReleaseReq) wire.Msg {
-	if e.cfg.Dir == nil {
-		return &wire.ErrResp{Msg: "node: not a GDO host"}
-	}
-	events, stamps, err := e.cfg.Dir.Release(req.Family, req.Site, req.Commit, req.Rels)
-	if err != nil {
-		return &wire.ErrResp{Msg: err.Error()}
-	}
-	e.routeEvents(events)
-	return &wire.ReleaseResp{Shard: req.Shard, Stamps: stamps}
-}
-
-func (e *Engine) handleGDOCopySet(req *wire.CopySetReq) wire.Msg {
-	if e.cfg.Dir == nil {
-		return &wire.ErrResp{Msg: "node: not a GDO host"}
-	}
-	sets := make([]wire.CopySet, 0, len(req.Objs))
-	for _, obj := range req.Objs {
-		sites, err := e.cfg.Dir.CopySet(obj)
-		if err != nil {
-			return &wire.ErrResp{Msg: err.Error()}
-		}
-		sets = append(sets, wire.CopySet{Obj: obj, Sites: sites})
-	}
-	return &wire.CopySetResp{Sets: sets}
-}
-
-func (e *Engine) handleGDORegister(req *wire.RegisterReq) wire.Msg {
-	if e.cfg.Dir == nil {
-		return &wire.ErrResp{Msg: "node: not a GDO host"}
-	}
-	if err := e.cfg.Dir.Register(req.Obj, int(req.NumPages), req.Owner); err != nil {
-		return &wire.ErrResp{Msg: err.Error()}
-	}
-	return &wire.RegisterResp{}
-}
-
-// routeEvents ships deferred directory decisions to the affected sites:
-// "Send the list pointed to by HolderPtr and the page map to the new
-// holder's site" (Alg 4.4), plus deadlock-abort notifications.
-func (e *Engine) routeEvents(events []gdo.Event) {
-	for _, ev := range events {
-		switch ev.Kind {
-		case gdo.EventGrant:
-			_ = e.env.Send(ev.Site, &wire.Grant{
-				Obj:        ev.Obj,
-				Family:     ev.Family,
-				Mode:       ev.Mode,
-				Upgrade:    ev.Upgrade,
-				NumPages:   int32(ev.NumPages),
-				LastWriter: ev.LastWriter,
-				Shard:      ev.Shard,
-				Reqs:       ev.Reqs,
-				PageMap:    ev.PageMap,
-			})
-		case gdo.EventDeadlockAbort:
-			_ = e.env.Send(ev.Site, &wire.Abort{
-				Obj:    ev.Obj,
-				Family: ev.Family,
-				Shard:  ev.Shard,
-				Reqs:   ev.Reqs,
-			})
-		}
-	}
 }

@@ -6,7 +6,6 @@ import (
 	"lotec/internal/core"
 	"lotec/internal/directory"
 	"lotec/internal/fault"
-	"lotec/internal/gdo"
 	"lotec/internal/ids"
 	"lotec/internal/node"
 	"lotec/internal/pstore"
@@ -61,32 +60,32 @@ func (t Topology) addrMap() map[ids.NodeID]string {
 	return m
 }
 
-// GDOServer hosts the global directory of objects for a TCP deployment.
+// GDOServer hosts the global directory of objects for a TCP deployment: a
+// TCP endpoint in front of one directory.Host that is primary for every
+// shard of Topology.InitialMap, with no backups. The Host serves the whole
+// directory protocol; stale-epoch or misaddressed requests get a RouteResp
+// carrying its map, so a client with a stale view re-aims.
 type GDOServer struct {
-	topo Topology
 	net  *TCPNet
-	dir  *directory.Sharded
-	// cur is the authoritative epoch-stamped placement map. Requests
-	// stamped with a different epoch (or addressed to the wrong shard) are
-	// answered with a RouteResp carrying this map instead of an error, so
-	// a client with a stale view re-aims rather than aborts.
-	cur wire.PlacementMap
+	host *directory.Host
 }
 
-// NewGDOServer creates (without starting) a directory server. The handler
-// always runs behind an idempotency cache: any node of the deployment may
-// have the retry layer enabled, and a retransmitted acquire/release must
+// NewGDOServer creates (without starting) a directory server. Requests
+// pass the Host's idempotency cache: any node of the deployment may have
+// the retry layer enabled, and a retransmitted acquire/release must
 // observe the first execution's reply, not run twice. With no retries in
 // play the cache is a pure pass-through (request IDs stay zero).
 func NewGDOServer(topo Topology) *GDOServer {
-	p := topo.Placement()
-	s := &GDOServer{
-		topo: topo,
-		dir:  directory.NewSharded(p.Shards, p.Nodes),
-		cur:  topo.InitialMap(),
+	s := &GDOServer{net: NewTCPNet(topo.GDONode(), topo.addrMap())}
+	s.host = directory.NewHost(directory.HostConfig{
+		Env:   s.net,
+		Place: topo.Placement(),
+		Map:   topo.InitialMap(),
+	})
+	handler := s.host.Handler()
+	for _, t := range directory.HostRequests {
+		s.net.SetAsyncHandler(t, handler)
 	}
-	s.net = NewTCPNet(topo.GDONode(), topo.addrMap())
-	s.net.SetHandler(fault.NewDedup().Wrap(s.handle))
 	return s
 }
 
@@ -111,109 +110,6 @@ func (s *GDOServer) Close() error { return s.net.Close() }
 
 // Addr returns the bound address.
 func (s *GDOServer) Addr() string { return s.net.Addr() }
-
-// Directory exposes the directory (diagnostics).
-func (s *GDOServer) Directory() *directory.Sharded { return s.dir }
-
-// redirect reports whether a request's placement view is stale — a
-// mismatched epoch stamp or a wrong shard address — and if so builds the
-// corrective RouteResp. Epoch 0 (an unstamped legacy client) is accepted:
-// only a client that claims a view can claim a stale one.
-func (s *GDOServer) redirect(epoch uint64, obj ids.ObjectID, shard int32) wire.Msg {
-	if epoch != 0 && epoch != s.cur.Epoch {
-		return &wire.RouteResp{Map: s.cur.Clone()}
-	}
-	if want := s.dir.ShardOf(obj); int(shard) != want {
-		return &wire.RouteResp{Map: s.cur.Clone()}
-	}
-	return nil
-}
-
-// handle serves the directory protocol. The event routing mirrors
-// node.Engine.routeEvents.
-func (s *GDOServer) handle(from ids.NodeID, m wire.Msg) wire.Msg {
-	switch req := m.(type) {
-	case *wire.AcquireReq:
-		if rr := s.redirect(req.Epoch, req.Obj, req.Shard); rr != nil {
-			return rr
-		}
-		res, events, err := s.dir.Acquire(req.Obj, req.Ref, req.Family, req.Age, req.Site, req.Mode)
-		if err != nil {
-			return &wire.ErrResp{Msg: err.Error()}
-		}
-		s.route(events)
-		return &wire.AcquireResp{
-			Obj:        req.Obj,
-			Status:     res.Status,
-			Mode:       res.Mode,
-			NumPages:   int32(res.NumPages),
-			LastWriter: res.LastWriter,
-			Shard:      req.Shard,
-			PageMap:    res.PageMap,
-		}
-	case *wire.ReleaseReq:
-		for _, rel := range req.Rels {
-			if rr := s.redirect(req.Epoch, rel.Obj, req.Shard); rr != nil {
-				return rr
-			}
-		}
-		events, stamps, err := s.dir.Release(req.Family, req.Site, req.Commit, req.Rels)
-		if err != nil {
-			return &wire.ErrResp{Msg: err.Error()}
-		}
-		s.route(events)
-		return &wire.ReleaseResp{Shard: req.Shard, Stamps: stamps}
-	case *wire.CommitSeqReq:
-		if req.Epoch != 0 && req.Epoch != s.cur.Epoch {
-			return &wire.RouteResp{Map: s.cur.Clone()}
-		}
-		return &wire.CommitSeqResp{Seq: s.dir.AssignCommitSeq(req.Family)}
-	case *wire.CopySetReq:
-		sets := make([]wire.CopySet, 0, len(req.Objs))
-		for _, obj := range req.Objs {
-			sites, err := s.dir.CopySet(obj)
-			if err != nil {
-				return &wire.ErrResp{Msg: err.Error()}
-			}
-			sets = append(sets, wire.CopySet{Obj: obj, Sites: sites})
-		}
-		return &wire.CopySetResp{Sets: sets}
-	case *wire.RegisterReq:
-		err := s.dir.Register(req.Obj, int(req.NumPages), req.Owner)
-		if err != nil {
-			return &wire.ErrResp{Msg: err.Error()}
-		}
-		return &wire.RegisterResp{}
-	default:
-		return &wire.ErrResp{Msg: "gdo: unhandled message type"}
-	}
-}
-
-func (s *GDOServer) route(events []gdo.Event) {
-	for _, ev := range events {
-		switch ev.Kind {
-		case gdo.EventGrant:
-			_ = s.net.Send(ev.Site, &wire.Grant{
-				Obj:        ev.Obj,
-				Family:     ev.Family,
-				Mode:       ev.Mode,
-				Upgrade:    ev.Upgrade,
-				NumPages:   int32(ev.NumPages),
-				LastWriter: ev.LastWriter,
-				Shard:      ev.Shard,
-				Reqs:       ev.Reqs,
-				PageMap:    ev.PageMap,
-			})
-		case gdo.EventDeadlockAbort:
-			_ = s.net.Send(ev.Site, &wire.Abort{
-				Obj:    ev.Obj,
-				Family: ev.Family,
-				Shard:  ev.Shard,
-				Reqs:   ev.Reqs,
-			})
-		}
-	}
-}
 
 // NodeConfig assembles one data node of a TCP deployment.
 type NodeConfig struct {

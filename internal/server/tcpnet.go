@@ -48,11 +48,6 @@ var tcpRetryDefaults = transport.RetryPolicy{
 	MaxBackoff:  time.Second,
 }
 
-// AsyncHandler processes messages whose replies are produced later (e.g.
-// RunReq, which executes a whole transaction). The reply closure writes the
-// response on the connection the request arrived on.
-type AsyncHandler func(from ids.NodeID, m wire.Msg, reply func(wire.Msg))
-
 // TCPNet is the sockets implementation of transport.Env. One TCPNet
 // instance represents one process (a site or the GDO); peers are dialed
 // lazily by node ID.
@@ -62,7 +57,7 @@ type TCPNet struct {
 	start time.Time
 
 	handler transport.Handler
-	async   map[wire.MsgType]AsyncHandler
+	async   map[wire.MsgType]transport.AsyncHandler
 
 	mu       sync.Mutex
 	listener net.Listener             // guarded by mu
@@ -99,7 +94,7 @@ func NewTCPNet(self ids.NodeID, addrs map[ids.NodeID]string) *TCPNet {
 		self:    self,
 		addrs:   cp,
 		start:   time.Now(),
-		async:   make(map[wire.MsgType]AsyncHandler),
+		async:   make(map[wire.MsgType]transport.AsyncHandler),
 		conns:   make(map[ids.NodeID]*tcpConn),
 		pending: make(map[uint64]chan wire.Msg),
 	}
@@ -108,8 +103,10 @@ func NewTCPNet(self ids.NodeID, addrs map[ids.NodeID]string) *TCPNet {
 // SetHandler installs the synchronous message handler (must not block).
 func (n *TCPNet) SetHandler(h transport.Handler) { n.handler = h }
 
-// SetAsyncHandler routes one message type to an asynchronous handler.
-func (n *TCPNet) SetAsyncHandler(t wire.MsgType, h AsyncHandler) { n.async[t] = h }
+// SetAsyncHandler routes one message type to an asynchronous handler,
+// whose reply closure writes the response on the connection the request
+// arrived on (e.g. RunReq, which executes a whole transaction).
+func (n *TCPNet) SetAsyncHandler(t wire.MsgType, h transport.AsyncHandler) { n.async[t] = h }
 
 // SetRecorder attaches a stats recorder for fault/retry counters. Call
 // during setup.
@@ -337,10 +334,14 @@ func (n *TCPNet) dispatch(c *tcpConn, env wire.Envelope, m wire.Msg) {
 		})
 		return
 	}
-	if n.handler == nil {
-		return
+	var reply wire.Msg
+	if n.handler != nil {
+		reply = n.handler(env.From, m)
+	} else {
+		// A request this endpoint has no handler for fails loudly instead
+		// of leaving the caller to time out.
+		reply = &wire.ErrResp{Msg: fmt.Sprintf("server: %v does not serve %T", n.self, m)}
 	}
-	reply := n.handler(env.From, m)
 	if reply == nil || env.ReqID == 0 {
 		return
 	}
@@ -535,6 +536,10 @@ func (n *TCPNet) callOnce(to ids.NodeID, m wire.Msg, timeout time.Duration) (wir
 		n.dropConn(to, c)
 		return nil, fmt.Errorf("server: write to %v: %w (%v)", to, transport.ErrUnreachable, err)
 	}
+	// Stop the timer on reply: an unstopped timer stays live until it fires,
+	// so one per call would grow the heap with the call rate.
+	timer := time.NewTimer(timeout)
+	defer timer.Stop()
 	select {
 	case reply, ok := <-ch:
 		if !ok {
@@ -544,7 +549,7 @@ func (n *TCPNet) callOnce(to ids.NodeID, m wire.Msg, timeout time.Duration) (wir
 			return nil, fmt.Errorf("server: remote error from %v: %s", to, er.Msg)
 		}
 		return reply, nil
-	case <-time.After(timeout):
+	case <-timer.C:
 		clear()
 		if n.rec != nil {
 			n.rec.AddCallTimeout()

@@ -73,23 +73,15 @@ type Config struct {
 	// epochs a delta may reach back across); <= 0 means
 	// pstore.DefaultDeltaJournalDepth.
 	DeltaJournalDepth int
-	// DedicatedDirectory hosts the GDO on an extra (N+1)-th simulated node
-	// instead of co-locating directory partitions with the data sites.
-	// This mirrors the TCP deployment topology (server.Topology runs the
-	// GDO as its own process), putting every lock/release round trip on
-	// the simulated wire — required for apples-to-apples calibration
-	// against the real cluster. Default false keeps the paper's historical
-	// co-located layout and its exact traces.
-	DedicatedDirectory bool
 	// Replicas, when > 0, runs the directory as that many dedicated
 	// control-plane host nodes (N+1 .. N+Replicas) speaking the replicated
 	// shard protocol: primary/backup op-log replication, epoch-stamped
 	// placement, backup promotion on primary crash, and online shard
 	// handoff (Reshard). Engines route lock traffic through a per-node
-	// RouteTable instead of HomeFn. Mutually exclusive with
-	// DedicatedDirectory. 1 means unreplicated-but-relocatable (no
-	// backups). Default 0 keeps the in-process directory and its exact
-	// traces.
+	// RouteTable instead of HomeFn. 1 means unreplicated-but-relocatable
+	// (no backups): the topology of a TCP deployment, whose GDO process is
+	// one such host, so every directory op is a simulated round trip.
+	// Default 0 keeps the paper's co-located layout and its exact traces.
 	Replicas int
 	// SpreadShards distributes shard primaries round-robin across the
 	// host nodes (each host backs up its ring predecessor's shards)
@@ -184,22 +176,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		engines: make(map[ids.NodeID]*node.Engine, cfg.Nodes),
 		stores:  make(map[ids.NodeID]*pstore.Store, cfg.Nodes),
 	}
-	// With a dedicated directory the GDO lives on an extra simulated node
-	// (like the TCP deployment's standalone GDO process), so the network
-	// has one env beyond the data sites and every directory op is a real
-	// simulated round trip.
 	simSize := cfg.Nodes
-	dirNode := ids.NodeID(0)
 	homeFn := c.dir.HomeNode
-	if cfg.DedicatedDirectory {
-		simSize = cfg.Nodes + 1
-		dirNode = ids.NodeID(cfg.Nodes + 1)
-		homeFn = func(ids.ObjectID) ids.NodeID { return dirNode }
-	}
 	if cfg.Replicas > 0 {
-		if cfg.DedicatedDirectory {
-			return nil, errors.New("sim: Replicas and DedicatedDirectory are mutually exclusive")
-		}
 		simSize = cfg.Nodes + cfg.Replicas
 		for i := 0; i < cfg.Replicas; i++ {
 			c.hostIDs = append(c.hostIDs, ids.NodeID(cfg.Nodes+1+i))
@@ -230,18 +209,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		c.hosts[id] = h
 		c.net.SetAsyncHandler(id, h.Handler())
 	}
-	dataNodes := simSize
-	if cfg.Replicas > 0 {
-		dataNodes = cfg.Nodes
-	}
-	for i := 1; i <= dataNodes; i++ {
+	for i := 1; i <= cfg.Nodes; i++ {
 		id := ids.NodeID(i)
-		isDir := cfg.DedicatedDirectory && id == dirNode
 		var dirSvc directory.Service = c.dir
-		if cfg.DedicatedDirectory && !isDir {
-			// Data sites don't serve directory traffic in this layout.
-			dirSvc = nil
-		}
 		var route *directory.RouteTable
 		if cfg.Replicas > 0 {
 			// Lock traffic goes to the control-plane hosts, not peers.
@@ -271,10 +241,8 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("node %v: %w", id, err)
 		}
-		if !isDir {
-			c.engines[id] = eng
-			c.stores[id] = store
-		}
+		c.engines[id] = eng
+		c.stores[id] = store
 		if faultsActive {
 			// At-least-once delivery needs exactly-once execution: replay
 			// cached replies for duplicated idempotent requests. Inert

@@ -99,16 +99,16 @@ func TestSpecWorkloadsExecute(t *testing.T) {
 	}
 }
 
-// TestDedicatedDirectoryCluster checks the TCP-shaped topology: the GDO on
-// its own (N+1)-th simulated node, every directory op a real wire round
-// trip. Runs must stay correct and directory traffic must actually hit the
-// dedicated node.
+// TestDedicatedDirectoryCluster checks the TCP topology: one unreplicated
+// directory host on its own (N+1)-th simulated node, every directory op a
+// real wire round trip. Runs must stay correct and directory traffic must
+// actually hit the dedicated node.
 func TestDedicatedDirectoryCluster(t *testing.T) {
 	w, err := GenerateWorkload(smallWorkload(13))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c, _, err := w.Execute(Config{Protocol: core.LOTEC, DedicatedDirectory: true})
+	c, _, err := w.Execute(Config{Protocol: core.LOTEC, Replicas: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
