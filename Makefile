@@ -1,8 +1,12 @@
 # Tier-1 gate: everything must build, vet clean, lint clean, and pass
 # under the race detector before a change lands.
-.PHONY: check build vet lint lint-fixtures test bench bench-allocs bench-smoke calibrate-smoke chaos
+.PHONY: check fmt build vet lint lint-fixtures test bench bench-allocs bench-smoke calibrate-smoke chaos
 
-check: build vet lint lint-fixtures test bench-allocs bench-smoke calibrate-smoke chaos
+check: fmt build vet lint lint-fixtures test bench-allocs bench-smoke calibrate-smoke chaos
+
+# Formatting gate: fails listing every file gofmt would rewrite.
+fmt:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt -l reports unformatted files:"; echo "$$out"; exit 1; fi
 
 build:
 	go build ./...

@@ -386,6 +386,27 @@ const (
 	smokeAllocsSlack = 1.25
 )
 
+// gateFigureRow compares a rerun figure row against its committed row.
+// bytes_moved may not grow at all; ns/op may grow to smokeNsSlack× and
+// allocs/op to smokeAllocsSlack× the committed value. A committed value of
+// zero disables the ns/op or allocs/op limit (rows from ledgers that did
+// not record it).
+func gateFigureRow(label string, committed *benchResult, got benchResult) error {
+	if got.BytesMoved > committed.BytesMoved {
+		return fmt.Errorf("bytes_moved regressed: %s moves %d B, committed %d B",
+			label, got.BytesMoved, committed.BytesMoved)
+	}
+	if committed.NsPerOp > 0 && got.NsPerOp > committed.NsPerOp*smokeNsSlack {
+		return fmt.Errorf("ns_per_op regressed: %s runs at %.0f ns/op, committed %.0f (limit %.0fx)",
+			label, got.NsPerOp, committed.NsPerOp, smokeNsSlack)
+	}
+	if committed.AllocsPerOp > 0 && got.AllocsPerOp > committed.AllocsPerOp*smokeAllocsSlack {
+		return fmt.Errorf("allocs_per_op regressed: %s allocates %.0f/op, committed %.0f (limit %.2fx)",
+			label, got.AllocsPerOp, committed.AllocsPerOp, smokeAllocsSlack)
+	}
+	return nil
+}
+
 // checkBaseline is the regression gate against the committed
 // BENCH_results.json: it reruns the figure's LOTEC workload
 // (whole-attribute and small-write schemas — both exactly reproducible on
@@ -437,22 +458,6 @@ func checkBaseline(spec sim.FigureSpec, path string) error {
 			BytesMoved:  c.Recorder().Totals().DataBytes,
 		}, nil
 	}
-	gate := func(label string, committed *benchResult, got benchResult) error {
-		if got.BytesMoved > committed.BytesMoved {
-			return fmt.Errorf("bytes_moved regressed: %s moves %d B, committed %d B",
-				label, got.BytesMoved, committed.BytesMoved)
-		}
-		if committed.NsPerOp > 0 && got.NsPerOp > committed.NsPerOp*smokeNsSlack {
-			return fmt.Errorf("ns_per_op regressed: %s runs at %.0f ns/op, committed %.0f (limit %.0fx)",
-				label, got.NsPerOp, committed.NsPerOp, smokeNsSlack)
-		}
-		if committed.AllocsPerOp > 0 && got.AllocsPerOp > committed.AllocsPerOp*smokeAllocsSlack {
-			return fmt.Errorf("allocs_per_op regressed: %s allocates %.0f/op, committed %.0f (limit %.2fx)",
-				label, got.AllocsPerOp, committed.AllocsPerOp, smokeAllocsSlack)
-		}
-		return nil
-	}
-
 	full := find("workload/figure"+spec.ID, 0)
 	if full == nil {
 		fmt.Printf("smoke: %s has no figure %s LOTEC row; skipping regression gate\n", path, spec.ID)
@@ -462,7 +467,7 @@ func checkBaseline(spec sim.FigureSpec, path string) error {
 	if err != nil {
 		return err
 	}
-	if err := gate("figure "+spec.ID+" LOTEC", full, got); err != nil {
+	if err := gateFigureRow("figure "+spec.ID+" LOTEC", full, got); err != nil {
 		return err
 	}
 	fmt.Printf("smoke ok: figure %s LOTEC bytes_moved %d B (committed %d B), %.0f ns/op (committed %.0f)\n",
@@ -474,7 +479,7 @@ func checkBaseline(spec sim.FigureSpec, path string) error {
 			return err
 		}
 		if row := find("workload/figure"+spec.ID+"/delta", wb); row != nil {
-			if err := gate(fmt.Sprintf("%d B-write schema", wb), row, cur); err != nil {
+			if err := gateFigureRow(fmt.Sprintf("%d B-write schema", wb), row, cur); err != nil {
 				return err
 			}
 		}

@@ -177,15 +177,25 @@ func checkPerfLedger(path string) error {
 			fmt.Printf("smoke: %s has no committed row; skipping\n", got.Op)
 			continue
 		}
-		if base.NsPerOp > 0 && got.NsPerOp > base.NsPerOp*smokeNsSlack {
-			return fmt.Errorf("ns_per_op regressed: %s runs at %.0f ns/op, committed %.0f (limit %.0fx)",
-				got.Op, got.NsPerOp, base.NsPerOp, smokeNsSlack)
-		}
-		if limit := base.AllocsPerOp*smokeAllocsSlack + 0.5; got.AllocsPerOp > limit {
-			return fmt.Errorf("allocs_per_op regressed: %s allocates %.2f/op, committed %.2f (limit %.2f)",
-				got.Op, got.AllocsPerOp, base.AllocsPerOp, limit)
+		if err := gatePerfRow(base, got); err != nil {
+			return err
 		}
 	}
 	fmt.Printf("smoke ok: %d perf/ rows within slack\n", len(rows))
+	return nil
+}
+
+// gatePerfRow compares one rerun perf/ row against its committed row:
+// ns/op within smokeNsSlack× (no limit when the committed value is zero),
+// allocs/op within smokeAllocsSlack× plus half an allocation.
+func gatePerfRow(base, got benchResult) error {
+	if base.NsPerOp > 0 && got.NsPerOp > base.NsPerOp*smokeNsSlack {
+		return fmt.Errorf("ns_per_op regressed: %s runs at %.0f ns/op, committed %.0f (limit %.0fx)",
+			got.Op, got.NsPerOp, base.NsPerOp, smokeNsSlack)
+	}
+	if limit := base.AllocsPerOp*smokeAllocsSlack + 0.5; got.AllocsPerOp > limit {
+		return fmt.Errorf("allocs_per_op regressed: %s allocates %.2f/op, committed %.2f (limit %.2f)",
+			got.Op, got.AllocsPerOp, base.AllocsPerOp, limit)
+	}
 	return nil
 }

@@ -1,9 +1,9 @@
 // Deadlock detection for the replicated control plane, in two tiers.
 //
-// Tier 1 — host-local union: a host serving several primary shards mirrors
-// the in-process Sharded router exactly. When an acquire parks or a
-// release re-points grants, it unions its own shards' waits-for summaries
-// and aborts the youngest family on any cycle reachable from the trigger.
+// Tier 1 — host-local union: a host serving several primary shards runs
+// the in-process Sharded router's detector (detect.go) over its primary
+// replicas' directories. When an acquire parks or a release re-points
+// grants, it aborts the youngest family on a cycle of that union.
 // Decisions are replicated: the triggering shard's purge/abort rides the
 // client op's log entry, sibling shards get decision-only entries.
 //
@@ -26,6 +26,7 @@ import (
 	"sort"
 	"time"
 
+	"lotec/internal/gdo"
 	"lotec/internal/ids"
 	"lotec/internal/wire"
 )
@@ -50,57 +51,12 @@ func mutableLocked(rep *replica) bool {
 	return rep.handoff == nil || !rep.handoff.shipped
 }
 
-// crossPossibleLocked is the local-tier precheck: a cross-shard cycle
-// needs waiting families in at least two of this host's primary shards.
-func (h *Host) crossPossibleLocked() bool {
-	withWaiters := 0
-	h.forEachPrimaryLocked(func(_ int, rep *replica) {
-		if rep.dir.HasWaiters() {
-			withWaiters++
-		}
-	})
-	return withWaiters >= 2
-}
-
-// unionWaitsLocked aggregates this host's primary shards' waits-for
-// summaries (deterministically ordered).
-func (h *Host) unionWaitsLocked() (map[ids.FamilyID][]ids.FamilyID, map[ids.FamilyID]uint64) {
-	adj := make(map[ids.FamilyID][]ids.FamilyID)
-	ages := make(map[ids.FamilyID]uint64)
-	h.forEachPrimaryLocked(func(_ int, rep *replica) {
-		edges, shardAges := rep.dir.WaitEdges()
-		for _, e := range edges {
-			adj[e.From] = append(adj[e.From], e.To)
-		}
-		for f, age := range shardAges {
-			ages[f] = age
-		}
-	})
-	sortAdj(adj)
-	return adj, ages
-}
-
-func sortAdj(adj map[ids.FamilyID][]ids.FamilyID) {
-	//lotec:unordered — per-key in-place sort; no cross-key state.
-	for f := range adj {
-		tos := adj[f]
-		sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
-	}
-}
-
-// findVictimLocked searches the host-local union graph for a cycle
-// reachable from start (the parking family) and returns the youngest
-// waiting family on it.
-func (h *Host) findVictimLocked(start ids.FamilyID) (ids.FamilyID, bool) {
-	if !h.crossPossibleLocked() {
-		return 0, false
-	}
-	adj, ages := h.unionWaitsLocked()
-	cycle := findCycleFrom(adj, start)
-	if len(cycle) == 0 {
-		return 0, false
-	}
-	return youngest(cycle, ages), true
+// primaryDirsLocked returns the directories of this host's primary
+// replicas in ascending shard order: the input of the host-local union.
+func (h *Host) primaryDirsLocked() []*gdo.Directory {
+	dirs := make([]*gdo.Directory, 0, len(h.reps))
+	h.forEachPrimaryLocked(func(_ int, rep *replica) { dirs = append(dirs, rep.dir) })
+	return dirs
 }
 
 // applyVictimLocked executes one deadlock decision across this host's
@@ -149,38 +105,18 @@ func (h *Host) victimIntoLocked(rep *replica, op *repOp, extras map[int]*repOp, 
 	return extras
 }
 
-// sweepLocked repeatedly searches the host-local union graph after a
-// release and aborts the youngest family of each cycle until acyclic
-// (grant re-pointing can close cycles no single shard sees).
+// sweepLocked aborts the youngest family of each host-local union-graph
+// cycle after a release until the graph is acyclic (grant re-pointing can
+// close cycles no single shard sees).
 func (h *Host) sweepLocked(rep *replica, op *repOp) map[int]*repOp {
 	var extras map[int]*repOp
 	for {
-		if !h.crossPossibleLocked() {
+		victim, ok := sweepVictim(h.primaryDirsLocked())
+		if !ok {
 			return extras
 		}
-		adj, ages := h.unionWaitsLocked()
-		cycle := firstCycle(adj)
-		if len(cycle) == 0 {
-			return extras
-		}
-		extras = h.victimIntoLocked(rep, op, extras, youngest(cycle, ages), false)
+		extras = h.victimIntoLocked(rep, op, extras, victim, false)
 	}
-}
-
-// firstCycle scans the adjacency in deterministic start order and returns
-// the first cycle found.
-func firstCycle(adj map[ids.FamilyID][]ids.FamilyID) []ids.FamilyID {
-	starts := make([]ids.FamilyID, 0, len(adj))
-	for f := range adj {
-		starts = append(starts, f)
-	}
-	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-	for _, f := range starts {
-		if cycle := findCycleFrom(adj, f); len(cycle) > 0 {
-			return cycle
-		}
-	}
-	return nil
 }
 
 // coordinatorLocked returns the cross-host detection coordinator: the
@@ -347,7 +283,7 @@ func (h *Host) waitEdgesLocked(a *acts, from ids.NodeID, t *wire.WaitEdgeUpdate)
 // per cycle until the combined graph is acyclic.
 func (h *Host) detectLocked(a *acts) {
 	for {
-		adj, ages := h.unionWaitsLocked()
+		adj, ages := unionWaits(h.primaryDirsLocked())
 		peerIDs := make([]ids.NodeID, 0, len(h.peers))
 		for id := range h.peers {
 			peerIDs = append(peerIDs, id)

@@ -21,6 +21,9 @@
 // observe a phantom cycle assembled from edges that never coexisted. A
 // phantom victim is safe — the family aborts and retries, exactly like a
 // real victim — and the stable-age policy still guarantees progress.
+//
+// The search functions below take the directories to union, so a Host's
+// tier-1 detector (coord.go) runs the same code over its primary replicas.
 
 package directory
 
@@ -31,27 +34,32 @@ import (
 	"lotec/internal/ids"
 )
 
-// unionWaits aggregates every shard's waits-for edge summary into one
-// adjacency map (deterministically ordered) plus the waiting families'
-// ages.
-func (s *Sharded) unionWaits() (map[ids.FamilyID][]ids.FamilyID, map[ids.FamilyID]uint64) {
+// unionWaits aggregates the waits-for edge summaries of dirs, visited in
+// the given order, into one adjacency map (each successor list sorted)
+// plus the waiting families' ages. Sharded passes its shards; a Host
+// passes its primary replicas' directories in ascending shard order.
+func unionWaits(dirs []*gdo.Directory) (map[ids.FamilyID][]ids.FamilyID, map[ids.FamilyID]uint64) {
 	adj := make(map[ids.FamilyID][]ids.FamilyID)
 	ages := make(map[ids.FamilyID]uint64)
-	for _, sh := range s.shards {
-		edges, shardAges := sh.WaitEdges()
+	for _, d := range dirs {
+		edges, dirAges := d.WaitEdges()
 		for _, e := range edges {
 			adj[e.From] = append(adj[e.From], e.To)
 		}
-		for f, age := range shardAges {
+		for f, age := range dirAges {
 			ages[f] = age
 		}
 	}
+	sortAdj(adj)
+	return adj, ages
+}
+
+func sortAdj(adj map[ids.FamilyID][]ids.FamilyID) {
 	//lotec:unordered — per-key in-place sort; no cross-key state.
 	for f := range adj {
 		tos := adj[f]
 		sort.Slice(tos, func(i, j int) bool { return tos[i] < tos[j] })
 	}
-	return adj, ages
 }
 
 // findCycleFrom runs the same colored DFS the shard-local detector uses,
@@ -114,11 +122,11 @@ func youngest(cycle []ids.FamilyID, ages map[ids.FamilyID]uint64) ids.FamilyID {
 // pass: a cycle whose edges straddle shards requires waiting families in at
 // least two shards. Intra-shard cycles are the shards' own business — their
 // local detectors already handle them — so when fewer than two shards have
-// waiters there is nothing for the router to find.
-func (s *Sharded) crossShardPossible() bool {
+// waiters there is nothing for the union to find.
+func crossShardPossible(dirs []*gdo.Directory) bool {
 	withWaiters := 0
-	for _, sh := range s.shards {
-		if sh.HasWaiters() {
+	for _, d := range dirs {
+		if d.HasWaiters() {
 			if withWaiters++; withWaiters == 2 {
 				return true
 			}
@@ -127,18 +135,51 @@ func (s *Sharded) crossShardPossible() bool {
 	return false
 }
 
-// findVictimFrom searches the union waits-for graph for a cycle reachable
-// from start and returns the youngest waiting family on it.
-func (s *Sharded) findVictimFrom(start ids.FamilyID) (ids.FamilyID, bool) {
-	if !s.crossShardPossible() {
+// findVictimFrom searches the union waits-for graph of dirs for a cycle
+// reachable from start and returns the youngest waiting family on it.
+// Acquires that park call it with the parking family.
+func findVictimFrom(dirs []*gdo.Directory, start ids.FamilyID) (ids.FamilyID, bool) {
+	if !crossShardPossible(dirs) {
 		return 0, false
 	}
-	adj, ages := s.unionWaits()
+	adj, ages := unionWaits(dirs)
 	cycle := findCycleFrom(adj, start)
 	if len(cycle) == 0 {
 		return 0, false
 	}
 	return youngest(cycle, ages), true
+}
+
+// sweepVictim searches the whole union waits-for graph of dirs, in
+// deterministic start order, and returns the youngest waiting family on
+// the first cycle found. Releases call it until it finds none: grant
+// re-pointing can close cycles no single shard sees.
+func sweepVictim(dirs []*gdo.Directory) (ids.FamilyID, bool) {
+	if !crossShardPossible(dirs) {
+		return 0, false
+	}
+	adj, ages := unionWaits(dirs)
+	cycle := firstCycle(adj)
+	if len(cycle) == 0 {
+		return 0, false
+	}
+	return youngest(cycle, ages), true
+}
+
+// firstCycle scans the adjacency in deterministic start order and returns
+// the first cycle found.
+func firstCycle(adj map[ids.FamilyID][]ids.FamilyID) []ids.FamilyID {
+	starts := make([]ids.FamilyID, 0, len(adj))
+	for f := range adj {
+		starts = append(starts, f)
+	}
+	sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
+	for _, f := range starts {
+		if cycle := findCycleFrom(adj, f); len(cycle) > 0 {
+			return cycle
+		}
+	}
+	return nil
 }
 
 // abortVictim cancels the victim's waits on every shard and collects the
@@ -152,31 +193,16 @@ func (s *Sharded) abortVictim(victim ids.FamilyID) []gdo.Event {
 	return events
 }
 
-// sweep repeatedly searches the union graph and aborts the youngest family
-// of each cycle until the graph is acyclic. Used after releases, where
-// grant re-pointing can close cycles no single shard sees; bounded because
-// every iteration removes at least one waiting family.
+// sweep aborts the youngest family of each union-graph cycle until the
+// graph is acyclic; bounded because every iteration removes at least one
+// waiting family.
 func (s *Sharded) sweep() []gdo.Event {
 	var events []gdo.Event
 	for {
-		if !s.crossShardPossible() {
+		victim, ok := sweepVictim(s.shards)
+		if !ok {
 			return events
 		}
-		adj, ages := s.unionWaits()
-		starts := make([]ids.FamilyID, 0, len(adj))
-		for f := range adj {
-			starts = append(starts, f)
-		}
-		sort.Slice(starts, func(i, j int) bool { return starts[i] < starts[j] })
-		var cycle []ids.FamilyID
-		for _, f := range starts {
-			if cycle = findCycleFrom(adj, f); len(cycle) > 0 {
-				break
-			}
-		}
-		if len(cycle) == 0 {
-			return events
-		}
-		events = append(events, s.abortVictim(youngest(cycle, ages))...)
+		events = append(events, s.abortVictim(victim)...)
 	}
 }

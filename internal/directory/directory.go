@@ -16,9 +16,9 @@
 //     (HomeNode) so the simulation charges global lock traffic to the same
 //     partition the deployment would consult.
 //   - Commit order: strict nested O2PL serializes committed families in
-//     release-arrival order; with the lock state split, the router assigns
-//     the global sequence numbers (one short critical section per
-//     committing release — never on the acquire path).
+//     release-arrival order. Shard 0 is the only sequencer: a family's
+//     first committing release fixes its position in shard 0's order,
+//     whichever shard the release is for.
 //   - Inter-family deadlock detection across shards: each shard detects
 //     cycles among its own waiters exactly as before, and additionally
 //     exports a waits-for edge summary (gdo.WaitEdges); the router unions
@@ -35,7 +35,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
@@ -56,7 +55,6 @@ type Service interface {
 	PageMap(obj ids.ObjectID) ([]gdo.PageLoc, error)
 	CopySet(obj ids.ObjectID) ([]ids.NodeID, error)
 	CommitSeq(f ids.FamilyID) (uint64, bool)
-	AssignCommitSeq(f ids.FamilyID) uint64
 	LastWriter(obj ids.ObjectID) (ids.NodeID, error)
 	Acquire(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID, age uint64, site ids.NodeID, mode o2pl.Mode) (gdo.AcquireResult, []gdo.Event, error)
 	Release(family ids.FamilyID, site ids.NodeID, commit bool, rels []gdo.ObjectRelease) ([]gdo.Event, []gdo.PageStamp, error)
@@ -121,28 +119,18 @@ func (p Placement) HomeNode(obj ids.ObjectID) ids.NodeID {
 // Sharded is the partitioned Global Directory of Objects: a router over
 // Placement.Shards independent gdo.Directory partitions. Acquires and
 // releases on objects of different shards never contend on a shared mutex;
-// the only router-level critical section is global commit-order assignment
-// on committing releases. It is safe for concurrent use.
+// the router itself holds no state beyond its partitions. It is safe for
+// concurrent use.
 type Sharded struct {
 	place  Placement
 	shards []*gdo.Directory
-
-	// Commit-order bookkeeping (see package doc); the acquire path never
-	// takes mu.
-	mu          sync.Mutex
-	commitSeq   uint64                  // guarded by mu
-	commitOrder map[ids.FamilyID]uint64 // guarded by mu
 }
 
 // NewSharded returns an empty sharded directory with the given number of
 // partitions for a cluster of nodes sites.
 func NewSharded(shards, nodes int) *Sharded {
 	p := NewPlacement(shards, nodes)
-	s := &Sharded{
-		place:       p,
-		shards:      make([]*gdo.Directory, p.Shards),
-		commitOrder: make(map[ids.FamilyID]uint64),
-	}
+	s := &Sharded{place: p, shards: make([]*gdo.Directory, p.Shards)}
 	for i := range s.shards {
 		s.shards[i] = gdo.New(p.Nodes)
 	}
@@ -241,31 +229,10 @@ func (s *Sharded) LastWriter(obj ids.ObjectID) (ids.NodeID, error) {
 }
 
 // CommitSeq returns the family's position in the *global* commit order (1
-// is first), assigned by the router when the family's first committing
-// release arrived. With the lock state partitioned, shard-local sequence
-// numbers would not be comparable across shards; the router's single
-// counter restores the total order strict O2PL promises.
+// is first): shard 0's order, which every committing release feeds (see
+// Release).
 func (s *Sharded) CommitSeq(f ids.FamilyID) (uint64, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	seq, ok := s.commitOrder[f]
-	return seq, ok
-}
-
-// AssignCommitSeq fixes the family's position in the global commit order
-// now, ahead of its per-shard releases, and returns it (skip-if-present:
-// re-assignment is a no-op). Routed clients call this through the control
-// plane before fanning their release batches out, so the order is decided
-// by a single counter even when the releases land on different shards.
-func (s *Sharded) AssignCommitSeq(f ids.FamilyID) uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if seq, ok := s.commitOrder[f]; ok {
-		return seq
-	}
-	s.commitSeq++
-	s.commitOrder[f] = s.commitSeq
-	return s.commitSeq
+	return s.shards[0].CommitSeq(f)
 }
 
 // CancelRequest withdraws family's queued requests and pending upgrades on
@@ -287,7 +254,7 @@ func (s *Sharded) Acquire(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID, 
 	}
 	events = stamp(shard, events)
 	if len(s.shards) > 1 && res.Status == gdo.Queued {
-		if victim, cycle := s.findVictimFrom(family); cycle {
+		if victim, cycle := findVictimFrom(s.shards, family); cycle {
 			if victim == family {
 				// Mirror the single directory's self-victim path: drop the
 				// family's parked requests everywhere, silently — the
@@ -304,23 +271,19 @@ func (s *Sharded) Acquire(obj ids.ObjectID, ref ids.TxRef, family ids.FamilyID, 
 }
 
 // Release routes Algorithm 4.4: the batch is split by shard and each shard
-// releases, restamps and re-schedules its own objects. Committing releases
-// are assigned their global commit sequence first. After the per-shard
-// releases, re-pointed waiters may close inter-shard cycles the shard-local
-// re-checks cannot see, so with multiple shards the router sweeps the union
-// waits-for graph until it is acyclic.
+// releases, restamps and re-schedules its own objects. A committing
+// release first fixes the family's place in shard 0's commit order, even
+// when the batch holds no shard-0 object. After the per-shard releases,
+// re-pointed waiters may close inter-shard cycles the shard-local re-checks
+// cannot see, so with multiple shards the router sweeps the union waits-for
+// graph until it is acyclic.
 func (s *Sharded) Release(family ids.FamilyID, site ids.NodeID, commit bool, rels []gdo.ObjectRelease) ([]gdo.Event, []gdo.PageStamp, error) {
-	if commit {
-		s.mu.Lock()
-		if _, ok := s.commitOrder[family]; !ok {
-			s.commitSeq++
-			s.commitOrder[family] = s.commitSeq
-		}
-		s.mu.Unlock()
-	}
 	if len(s.shards) == 1 {
 		events, stamps, err := s.shards[0].Release(family, site, commit, rels)
 		return stamp(0, events), stamps, err
+	}
+	if commit {
+		s.shards[0].AssignCommitSeq(family)
 	}
 
 	// Fast path: batches addressed to a single partition (the node engine

@@ -179,7 +179,7 @@ func (h *Host) Handler() transport.AsyncHandler {
 // HostRequests lists the message types Handler serves, for transports that
 // dispatch by type.
 var HostRequests = []wire.MsgType{
-	wire.TAcquireReq, wire.TReleaseReq, wire.TCommitSeqReq, wire.TRegisterReq, wire.TCopySetReq,
+	wire.TAcquireReq, wire.TReleaseReq, wire.TRegisterReq, wire.TCopySetReq,
 	wire.TReplicateReq, wire.TPromoteReq, wire.TEpochChangeReq, wire.THandoffStartReq,
 	wire.THandoffReq, wire.TWaitEdgeUpdate, wire.TAbortFamilyReq,
 }
@@ -292,9 +292,6 @@ func (h *Host) handle(from ids.NodeID, m wire.Msg, reply func(wire.Msg)) {
 		h.clientOpLocked(a, from, int(t.Shard), t.Epoch, m, reply)
 	case *wire.ReleaseReq:
 		h.clientOpLocked(a, from, int(t.Shard), t.Epoch, m, reply)
-	case *wire.CommitSeqReq:
-		// The global commit sequencer lives on shard 0's primary.
-		h.clientOpLocked(a, from, 0, t.Epoch, m, reply)
 	case *wire.RegisterReq:
 		// Registration is epoch-free (setup traffic); route by ownership.
 		h.clientOpLocked(a, from, h.place.ShardOf(t.Obj), h.cur.Epoch, m, reply)
@@ -367,8 +364,6 @@ func (h *Host) replayParkedLocked(a *acts, ops []parkedOp) {
 			h.clientOpLocked(a, p.from, int(t.Shard), t.Epoch, p.m, p.reply)
 		case *wire.ReleaseReq:
 			h.clientOpLocked(a, p.from, int(t.Shard), t.Epoch, p.m, p.reply)
-		case *wire.CommitSeqReq:
-			h.clientOpLocked(a, p.from, 0, t.Epoch, p.m, p.reply)
 		case *wire.RegisterReq:
 			h.clientOpLocked(a, p.from, h.place.ShardOf(t.Obj), h.cur.Epoch, p.m, p.reply)
 		default:
@@ -417,7 +412,7 @@ func (h *Host) applyLocked(rep *replica, from ids.NodeID, m wire.Msg) (*repOp, m
 	switch t := m.(type) {
 	case *wire.AcquireReq:
 		if reply.(*wire.AcquireResp).Status == gdo.Queued {
-			if victim, found := h.findVictimLocked(t.Family); found {
+			if victim, found := findVictimFrom(h.primaryDirsLocked(), t.Family); found {
 				extras = h.applyVictimLocked(rep, op, victim, victim == t.Family)
 				if victim == t.Family {
 					op.reply = &wire.AcquireResp{Obj: t.Obj, Status: gdo.DeadlockAbort, Shard: t.Shard}

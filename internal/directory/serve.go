@@ -38,8 +38,6 @@ func Serve(svc Service, m wire.Msg) (wire.Msg, []gdo.Event) {
 			return &wire.ErrResp{Msg: err.Error()}, nil
 		}
 		return &wire.ReleaseResp{Shard: t.Shard, Stamps: stamps}, events
-	case *wire.CommitSeqReq:
-		return &wire.CommitSeqResp{Seq: svc.AssignCommitSeq(t.Family)}, nil
 	case *wire.CopySetReq:
 		return copySets(t, svc.CopySet), nil
 	case *wire.RegisterReq:

@@ -38,15 +38,17 @@ func TestServeTranslatesRequests(t *testing.T) {
 		t.Fatalf("second acquire status %v, want queued", st)
 	}
 
-	reply, _ = serve(&wire.CommitSeqReq{Family: 10})
-	if seq := reply.(*wire.CommitSeqResp).Seq; seq != 1 {
-		t.Errorf("commit seq %d, want 1", seq)
+	if _, ok := svc.CommitSeq(10); ok {
+		t.Error("commit seq assigned before the committing release")
 	}
 	reply, events = serve(&wire.ReleaseReq{Family: 10, Site: 1, Commit: true, Shard: 1,
 		Rels: []gdo.ObjectRelease{{Obj: 3, Dirty: []ids.PageNum{1}}}})
 	rel := reply.(*wire.ReleaseResp)
 	if rel.Shard != 1 || len(rel.Stamps) != 1 || rel.Stamps[0].Page != 1 {
 		t.Errorf("release reply %+v", rel)
+	}
+	if seq, ok := svc.CommitSeq(10); !ok || seq != 1 {
+		t.Errorf("commit seq = %d, %v after the committing release, want 1", seq, ok)
 	}
 	if len(events) != 1 || events[0].Kind != gdo.EventGrant || events[0].Family != 20 || events[0].Site != 2 || events[0].Shard != 1 {
 		t.Errorf("release events %+v, want one grant to family 20 at site 2 on shard 1", events)

@@ -175,11 +175,11 @@ type Directory struct {
 	// crossover, so their working sets are kept on the Directory and
 	// recycled: at steady state the grant/release path performs no
 	// allocations (ROADMAP item 4). All guarded by mu.
-	wf       wfScratch       // waits-for detector working state (deadlock.go)
-	entScr   []*entry        // waitEntriesSortedLocked sweep list
-	famScr   []ids.FamilyID  // scheduleLocked deadlock re-check snapshot
-	touchScr []*entry        // Release touched-entry list
-	holdFree []*familyHold   // familyHold freelist (records never escape)
+	wf       wfScratch      // waits-for detector working state (deadlock.go)
+	entScr   []*entry       // waitEntriesSortedLocked sweep list
+	famScr   []ids.FamilyID // scheduleLocked deadlock re-check snapshot
+	touchScr []*entry       // Release touched-entry list
+	holdFree []*familyHold  // familyHold freelist (records never escape)
 }
 
 // New returns an empty directory for a cluster of n nodes (n ≥ 1; used only
@@ -365,10 +365,9 @@ func (d *Directory) CommitSeq(f ids.FamilyID) (uint64, bool) {
 }
 
 // AssignCommitSeq assigns (or returns the already-assigned) commit-order
-// position for a family. In replicated topologies the sequencer lives on
-// one designated shard and clients ask it for their position explicitly
-// before fanning releases out to the other shards; Release's own
-// skip-if-present check then leaves the assignment untouched.
+// position for a family. A sharded router calls it on shard 0, the global
+// sequencer, when a committing release names objects of other shards only;
+// Release's own skip-if-present check then leaves the assignment untouched.
 func (d *Directory) AssignCommitSeq(f ids.FamilyID) uint64 {
 	d.mu.Lock()
 	defer d.mu.Unlock()

@@ -103,7 +103,8 @@ type Config struct {
 	Route *directory.RouteTable
 	// Rec records the message trace and counters; may be nil.
 	Rec *stats.Recorder
-	// MaxRetries bounds deadlock-victim retries of a root (default 20).
+	// MaxRetries bounds deadlock-victim retries of a root (default 50): Run
+	// makes at most MaxRetries+1 attempts.
 	MaxRetries int
 	// FetchConcurrency bounds the in-flight per-site calls of one xfer
 	// gather or push fan-out (default 4). The byte/message trace is
@@ -324,7 +325,7 @@ func (e *Engine) Run(obj ids.ObjectID, method string, arg []byte) ([]byte, ids.F
 			return nil, fam, err
 		}
 	}
-	return nil, 0, fmt.Errorf("%w after %d attempts: %v", ErrRetriesExhausted, e.cfg.MaxRetries, lastErr)
+	return nil, 0, fmt.Errorf("%w after %d attempts: %v", ErrRetriesExhausted, e.cfg.MaxRetries+1, lastErr)
 }
 
 // invokeRoot runs one root attempt, reporting the family it used. age is
@@ -602,21 +603,6 @@ func (e *Engine) commitRoot(ts *txState) error {
 	delete(e.fams, ts.t.Family())
 	e.mu.Unlock()
 
-	// Replicated mode: the commit sequencer is shard 0's primary, and the
-	// per-shard releases below fan out to whichever hosts own the shards.
-	// Ask the sequencer for our position first so the global commit order
-	// is fixed before any shard observes the release (the sequencer shard's
-	// own release then finds the assignment already present and keeps it).
-	if e.cfg.Route != nil {
-		reply, err := e.cfg.Route.Call(0, &wire.CommitSeqReq{Family: ts.t.Family()})
-		if err != nil {
-			return fmt.Errorf("commit seq: %w", siteErr(err))
-		}
-		if er, ok := reply.(*wire.ErrResp); ok {
-			return fmt.Errorf("commit seq: %s", er.Msg)
-		}
-	}
-
 	// Restamp dirty pages to version+1 and clear their dirty flags *before*
 	// the release leaves: the directory assigns exactly +1 per committing
 	// release, and the next holder may be granted — and may fetch from, or
@@ -655,9 +641,6 @@ func (e *Engine) commitRoot(ts *txState) error {
 	return nil
 }
 
-// releaseGlobal sends GlobalLockRelease for the given objects, batched per
-// GDO home partition, and restamps local pages from the returned versions.
-// dirty may be nil (abort path).
 // restampDirty advances each dirty page's local version by one and returns
 // the predicted stamps keyed by page.
 func (e *Engine) restampDirty(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum) (map[ids.PageID]uint64, error) {
@@ -678,6 +661,16 @@ func (e *Engine) restampDirty(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.
 	return predicted, nil
 }
 
+// releaseGlobal sends GlobalLockRelease for the given objects, batched per
+// GDO home partition, and verifies the returned page versions against
+// predicted. dirty may be nil (abort path).
+//
+// Shard 0's directory is the global commit sequencer: a family's first
+// committing release to shard 0 fixes its place in the commit order. Under
+// Route, batches go out one at a time in shard order, so a commit whose
+// objects include none on shard 0 sends shard 0 an empty committing
+// release first, and shard 0 fixes the order before any other shard sees
+// the commit.
 func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum, commit bool, predicted map[ids.PageID]uint64) error {
 	if len(objs) == 0 {
 		return nil
@@ -697,6 +690,10 @@ func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids
 			d.home = ids.NoNode
 		}
 		byDest[d] = append(byDest[d], gdo.ObjectRelease{Obj: obj, Dirty: dirty[obj]})
+	}
+	// The sequencer sees every commit, even one with no shard-0 object.
+	if seq := (dest{home: ids.NoNode, shard: 0}); commit && e.cfg.Route != nil && byDest[seq] == nil {
+		byDest[seq] = nil
 	}
 	dests := make([]dest, 0, len(byDest))
 	for d := range byDest {

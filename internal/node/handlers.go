@@ -28,7 +28,7 @@ func (e *Engine) Handle(from ids.NodeID, m wire.Msg) wire.Msg {
 		return xfer.ServeFetch(e.cfg.Store, e.cfg.Rec, t)
 	case *wire.MultiPushReq:
 		return xfer.ApplyPush(e.cfg.Store, e.cfg.Rec, t)
-	case *wire.AcquireReq, *wire.ReleaseReq, *wire.CommitSeqReq, *wire.CopySetReq, *wire.RegisterReq:
+	case *wire.AcquireReq, *wire.ReleaseReq, *wire.CopySetReq, *wire.RegisterReq:
 		// The co-located layout: this site serves its directory partitions.
 		if e.cfg.Dir == nil {
 			return &wire.ErrResp{Msg: "node: not a GDO host"}

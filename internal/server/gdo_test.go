@@ -33,7 +33,7 @@ func TestGDORedirectsStaleEpoch(t *testing.T) {
 	for _, epoch := range []uint64{want.Epoch - 1, want.Epoch + 1} {
 		for _, req := range []wire.Msg{
 			&wire.AcquireReq{Obj: 1, Family: 1, Site: 1, Mode: o2pl.Write, Shard: 1, Epoch: epoch},
-			&wire.CommitSeqReq{Family: 1, Epoch: epoch},
+			&wire.ReleaseReq{Family: 1, Site: 1, Commit: true, Epoch: epoch},
 		} {
 			reply, err := cli.Call(topo.GDONode(), req)
 			if err != nil {
@@ -57,7 +57,7 @@ func TestGDORedirectsStaleEpoch(t *testing.T) {
 // different directory shards of one GDO, so families deadlock across
 // shards. The GDO's host detects those cycles over the union of its
 // shards' waits-for graphs, every root commits after its victim retries,
-// and the directory drains.
+// and the directory drains. The trace holds no commit-sequence messages.
 func TestTCPShardedDeadlocksResolve(t *testing.T) {
 	const nodes, objects = 2, 4
 	addrs := freeAddrs(t, nodes+1)
@@ -155,6 +155,20 @@ func TestTCPShardedDeadlocksResolve(t *testing.T) {
 
 	if rec.Counters().Aborts == 0 {
 		t.Error("no family was aborted: the transfers never deadlocked")
+	}
+	// Committing releases fix the commit order at shard 0; no separate
+	// sequencer round trip exists.
+	releases := 0
+	for _, m := range rec.Trace() {
+		switch m.Kind {
+		case stats.KindCommitSeq:
+			t.Fatalf("trace holds a commit-sequence message: %+v", m)
+		case stats.KindRelease:
+			releases++
+		}
+	}
+	if releases == 0 {
+		t.Error("trace recorded no releases")
 	}
 	var sum int64
 	for obj := ids.ObjectID(1); obj <= objects; obj++ {

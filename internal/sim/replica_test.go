@@ -290,3 +290,49 @@ func TestReplicatedHandoffPartition(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestCommitSeqWithoutShardZero: with one unreplicated host serving four
+// shards, shard 0 is the only commit sequencer, so a committing root whose
+// objects all live on other shards takes its place in the order from the
+// empty committing release it sends shard 0. Every committed root gets a
+// distinct non-zero CommitSeq, and replaying that order serially
+// reproduces the committed state (runChaosWorkloadIn).
+func TestCommitSeqWithoutShardZero(t *testing.T) {
+	for _, seed := range []uint64{1, 2} {
+		w, err := GenerateWorkload(chaosWorkload(int64(seed)))
+		if err != nil {
+			t.Fatalf("generate: %v", err)
+		}
+		c := runChaosWorkloadIn(t, seed, w, replicatedConfig(core.LOTEC, 1, nil))
+		objs := c.objects() // ascending creation order: objs[i] is ObjIndex i
+		var touchesShard0 func(Call) bool
+		touchesShard0 = func(call Call) bool {
+			if c.place.ShardOf(objs[call.ObjIndex]) == 0 {
+				return true
+			}
+			for _, ch := range call.Children {
+				if touchesShard0(ch) {
+					return true
+				}
+			}
+			return false
+		}
+		seen := make(map[uint64]bool)
+		offShard0 := 0
+		for _, r := range c.Results() {
+			if r.Err != nil {
+				continue
+			}
+			if r.CommitSeq == 0 || seen[r.CommitSeq] {
+				t.Errorf("seed %d: root %d committed with CommitSeq %d (zero or repeated)", seed, r.Tag.(int), r.CommitSeq)
+			}
+			seen[r.CommitSeq] = true
+			if !touchesShard0(w.Roots[r.Tag.(int)].Call) {
+				offShard0++
+			}
+		}
+		if offShard0 == 0 {
+			t.Errorf("seed %d: no committed root avoided shard 0; the case under test never ran", seed)
+		}
+	}
+}

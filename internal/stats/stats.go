@@ -55,8 +55,10 @@ const (
 	KindHandoffReply
 	KindDetect // cross-host deadlock detection (edges push, victim fan-out)
 	KindDetectReply
-	KindCommitSeq // global commit-order assignment at the sequencer
-	KindCommitSeqReply
+	// KindCommitSeq is retired: a family's committing release to shard 0
+	// fixes its commit order, so no message is classified as it. The
+	// benchmark module still counts it, and that row reads 0.
+	KindCommitSeq
 )
 
 // String implements fmt.Stringer.
@@ -120,8 +122,6 @@ func (k MsgKind) String() string {
 		return "detect-reply"
 	case KindCommitSeq:
 		return "commit-seq"
-	case KindCommitSeqReply:
-		return "commit-seq-reply"
 	default:
 		return "other"
 	}

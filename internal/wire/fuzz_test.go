@@ -151,13 +151,35 @@ func FuzzDecode(f *testing.F) {
 		&WaitEdgeResp{Map: wideMap},
 		&AbortFamilyReq{ReqID: 1<<42 + 9, Family: 5, Epoch: 7},
 		&AbortFamilyResp{},
-		&CommitSeqReq{ReqID: 1<<42 + 10, Family: 5, Epoch: 7},
-		&CommitSeqResp{Seq: 42},
 	}
 	for _, m := range replication {
 		buf := Encode(Envelope{ReqID: 13, From: 4, To: 3}, m)
 		f.Add(buf)
 		f.Add(buf[:len(buf)-3]) // truncated mid-body
+	}
+
+	// A committing release with no objects — what an engine sends shard 0,
+	// the commit sequencer, when its commit holds no shard-0 object — with
+	// and without an epoch stamp, cut after the header, through the ReqID
+	// field and mid-body.
+	for _, epoch := range []uint64{0, 7} {
+		buf := Encode(Envelope{ReqID: 14, From: 1, To: 5},
+			&ReleaseReq{ReqID: 1<<43 + epoch, Family: 12, Site: 1, Commit: true, Epoch: epoch})
+		f.Add(buf)
+		f.Add(buf[:HeaderSize])
+		f.Add(buf[:HeaderSize+4])
+		f.Add(buf[:len(buf)-3])
+	}
+
+	// The first tags past the enum, carrying a plausible body: Decode must
+	// reject them, never parse them as some other type.
+	for _, tag := range []MsgType{TAbortFamilyResp + 1, TAbortFamilyResp + 2} {
+		buf := Encode(Envelope{ReqID: 15, From: 1, To: 5}, &AbortFamilyReq{ReqID: 1<<43 + 9, Family: 5, Epoch: 7})
+		buf[0] = byte(tag)
+		f.Add(buf)
+		f.Add(buf[:HeaderSize])
+		f.Add(buf[:len(buf)-1])
+		f.Add(append(buf, 0xAA))
 	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {

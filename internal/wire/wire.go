@@ -57,8 +57,6 @@ const (
 	TWaitEdgeResp
 	TAbortFamilyReq
 	TAbortFamilyResp
-	TCommitSeqReq
-	TCommitSeqResp
 )
 
 // HeaderSize is the envelope size: type(1) + reqID(8) + from(4) + to(4) +
@@ -662,10 +660,6 @@ func newMsg(t MsgType) (Msg, error) {
 		return &AbortFamilyReq{}, nil
 	case TAbortFamilyResp:
 		return &AbortFamilyResp{}, nil
-	case TCommitSeqReq:
-		return &CommitSeqReq{}, nil
-	case TCommitSeqResp:
-		return &CommitSeqResp{}, nil
 	default:
 		return nil, fmt.Errorf("%w: %d", ErrUnknownType, t)
 	}

@@ -107,6 +107,12 @@ func TestDecodeErrors(t *testing.T) {
 	if _, _, err := Decode(buf); !errors.Is(err, ErrUnknownType) {
 		t.Errorf("unknown type: %v", err)
 	}
+	for _, tag := range []MsgType{TAbortFamilyResp + 1, TAbortFamilyResp + 2} {
+		buf[0] = byte(tag)
+		if _, _, err := Decode(buf); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("tag %d past the enum: %v", tag, err)
+		}
+	}
 	// Truncated body.
 	buf = Encode(Envelope{}, &RunReq{Obj: 1, Method: "m", Arg: []byte("abc")})
 	if _, _, err := Decode(buf[:len(buf)-2]); !errors.Is(err, ErrShortBuffer) {
