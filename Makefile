@@ -1,8 +1,8 @@
 # Tier-1 gate: everything must build, vet clean, lint clean, and pass
 # under the race detector before a change lands.
-.PHONY: check fmt build vet lint lint-fixtures test bench bench-allocs bench-smoke calibrate-smoke chaos
+.PHONY: check fmt build vet lint lint-fixtures test bench-module bench bench-allocs bench-smoke calibrate-smoke chaos
 
-check: fmt build vet lint lint-fixtures test bench-allocs bench-smoke calibrate-smoke chaos
+check: fmt build vet lint lint-fixtures test bench-module bench-allocs bench-smoke calibrate-smoke chaos
 
 # Formatting gate: fails listing every file gofmt would rewrite.
 fmt:
@@ -28,6 +28,11 @@ lint-fixtures:
 
 test:
 	go test -race ./...
+
+# The end-to-end benchmark is its own Go module (benchmark/go.mod), so the
+# root module's ./... does not reach its unit tests.
+bench-module:
+	cd benchmark && go test .
 
 # Regenerate BENCH_results.json (figure workload timings, transfer-stage
 # breakdown, fetch-concurrency sweep, sharded directory throughput).

@@ -153,11 +153,6 @@ func (s *Sharded) NumShards() int { return len(s.shards) }
 //lotec:noalloc
 func (s *Sharded) ShardOf(obj ids.ObjectID) int { return s.place.ShardOf(obj) }
 
-// HomeNode returns the node obj's global lock messages are charged to.
-//
-//lotec:noalloc
-func (s *Sharded) HomeNode(obj ids.ObjectID) ids.NodeID { return s.place.HomeNode(obj) }
-
 // Shard exposes one partition (tests and diagnostics).
 //
 //lotec:noalloc

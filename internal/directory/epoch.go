@@ -16,14 +16,17 @@ import (
 	"lotec/internal/wire"
 )
 
-// InitialMap builds the epoch-1 placement for a replicated deployment:
-// shards directory partitions served by the given host nodes over a data
-// plane of dataNodes sites. With spread false every shard's primary is
-// hosts[0] and its backup hosts[1] (the classic primary/backup pair, extra
-// hosts idle as handoff targets); with spread true primaries round-robin
-// across all hosts — backups take the next host in the ring — so shard
-// ownership crosses host boundaries and cross-host deadlock detection is
-// exercised. With a single host there are no backups.
+// InitialMap builds the epoch-1 placement: shards directory partitions
+// served by the given host nodes over a data plane of dataNodes sites.
+// With spread false every shard's primary is hosts[0] and its backup
+// hosts[1] (the classic primary/backup pair, extra hosts idle as handoff
+// targets); with spread true primaries round-robin across all hosts —
+// backups take the next host in the ring — so shard ownership crosses host
+// boundaries and cross-host deadlock detection is exercised. With a single
+// host there are no backups. With no hosts the map is the co-located
+// layout: every primary and backup is ids.NoNode, each partition lives on
+// the data nodes, and a RouteTable built from it addresses an object's
+// home node.
 func InitialMap(shards, dataNodes int, hosts []ids.NodeID, spread bool) wire.PlacementMap {
 	if shards < 1 {
 		shards = 1
@@ -36,6 +39,9 @@ func InitialMap(shards, dataNodes int, hosts []ids.NodeID, spread bool) wire.Pla
 		Nodes:   int32(dataNodes),
 		Primary: make([]ids.NodeID, shards),
 		Backup:  make([]ids.NodeID, shards),
+	}
+	if len(hosts) == 0 {
+		return m
 	}
 	for s := 0; s < shards; s++ {
 		pi := 0

@@ -70,12 +70,13 @@ func (b *repBed) client(t *testing.T, fn func(env transport.Env, rt *RouteTable)
 	}
 }
 
-func acquire(t *testing.T, rt *RouteTable, place Placement, obj ids.ObjectID, fam ids.FamilyID, mode o2pl.Mode) *wire.AcquireResp {
+func acquire(t *testing.T, rt *RouteTable, obj ids.ObjectID, fam ids.FamilyID, mode o2pl.Mode) *wire.AcquireResp {
 	t.Helper()
-	reply, err := rt.Call(place.ShardOf(obj), &wire.AcquireReq{
+	d := rt.Dest(obj)
+	reply, err := rt.Call(d, &wire.AcquireReq{
 		Obj: obj, Ref: ids.TxRef{Tx: ids.TxID(fam), Node: 1},
 		Family: fam, Age: uint64(fam), Site: 1, Mode: mode,
-		Shard: int32(place.ShardOf(obj)),
+		Shard: d.Shard,
 	})
 	if err != nil {
 		t.Fatalf("acquire %v: %v", obj, err)
@@ -87,11 +88,12 @@ func acquire(t *testing.T, rt *RouteTable, place Placement, obj ids.ObjectID, fa
 	return ar
 }
 
-func release(t *testing.T, rt *RouteTable, place Placement, obj ids.ObjectID, fam ids.FamilyID, dirty []ids.PageNum) {
+func release(t *testing.T, rt *RouteTable, obj ids.ObjectID, fam ids.FamilyID, dirty []ids.PageNum) {
 	t.Helper()
-	reply, err := rt.Call(place.ShardOf(obj), &wire.ReleaseReq{
+	d := rt.Dest(obj)
+	reply, err := rt.Call(d, &wire.ReleaseReq{
 		Family: fam, Site: 1, Commit: true,
-		Shard: int32(place.ShardOf(obj)),
+		Shard: d.Shard,
 		Rels:  []gdo.ObjectRelease{{Obj: obj, Dirty: dirty}},
 	})
 	if err != nil {
@@ -158,18 +160,18 @@ func TestReplicatedSingleShard(t *testing.T) {
 	b.register(t, obj, 2)
 
 	b.client(t, func(env transport.Env, rt *RouteTable) {
-		if ar := acquire(t, rt, b.place, obj, 10, o2pl.Write); ar.Status != gdo.GrantedNow {
+		if ar := acquire(t, rt, obj, 10, o2pl.Write); ar.Status != gdo.GrantedNow {
 			t.Errorf("acquire status = %v, want GrantedNow", ar.Status)
 		}
-		release(t, rt, b.place, obj, 10, []ids.PageNum{0, 1})
-		ar := acquire(t, rt, b.place, obj, 11, o2pl.Read)
+		release(t, rt, obj, 10, []ids.PageNum{0, 1})
+		ar := acquire(t, rt, obj, 11, o2pl.Read)
 		if ar.Status != gdo.GrantedNow {
 			t.Errorf("reacquire status = %v, want GrantedNow", ar.Status)
 		}
 		if ar.LastWriter != 1 {
 			t.Errorf("last writer = %v, want 1", ar.LastWriter)
 		}
-		release(t, rt, b.place, obj, 11, nil)
+		release(t, rt, obj, 11, nil)
 	})
 
 	pd, ok := b.hosts[2].PrimaryDir(0)
@@ -256,10 +258,10 @@ func TestPromotionIdempotent(t *testing.T) {
 		if !rt.Adopt(m1) {
 			t.Error("route table refused the newer promotion map")
 		}
-		if ar := acquire(t, rt, b.place, obj, 21, o2pl.Read); ar.Status != gdo.GrantedNow {
+		if ar := acquire(t, rt, obj, 21, o2pl.Read); ar.Status != gdo.GrantedNow {
 			t.Errorf("post-promotion acquire = %v, want GrantedNow", ar.Status)
 		}
-		release(t, rt, b.place, obj, 21, nil)
+		release(t, rt, obj, 21, nil)
 	})
 
 	if got := b.rec.Counters().Promotions; got != 1 {
@@ -307,10 +309,10 @@ func TestEpochMonotonicNearRollover(t *testing.T) {
 			t.Errorf("route epoch = %d, want %d", got, high+1)
 		}
 		// Ops stamped with the adopted high epoch still flow.
-		if ar := acquire(t, rt, b.place, obj, 30, o2pl.Read); ar.Status != gdo.GrantedNow {
+		if ar := acquire(t, rt, obj, 30, o2pl.Read); ar.Status != gdo.GrantedNow {
 			t.Errorf("high-epoch acquire = %v, want GrantedNow", ar.Status)
 		}
-		release(t, rt, b.place, obj, 30, nil)
+		release(t, rt, obj, 30, nil)
 	})
 }
 
@@ -326,12 +328,12 @@ func TestHandoffPreservesReleasedState(t *testing.T) {
 	b.register(t, obj, 2)
 
 	b.client(t, func(env transport.Env, rt *RouteTable) {
-		if ar := acquire(t, rt, b.place, obj, 40, o2pl.Write); ar.Status != gdo.GrantedNow {
+		if ar := acquire(t, rt, obj, 40, o2pl.Write); ar.Status != gdo.GrantedNow {
 			t.Fatalf("acquire = %v, want GrantedNow", ar.Status)
 		}
-		release(t, rt, b.place, obj, 40, []ids.PageNum{1})
+		release(t, rt, obj, 40, []ids.PageNum{1})
 
-		reply, err := rt.Call(0, &wire.HandoffStartReq{Shard: 0, Target: 4})
+		reply, err := rt.Call(Dest{Shard: 0}, &wire.HandoffStartReq{Shard: 0, Target: 4})
 		if err != nil {
 			t.Fatalf("handoff: %v", err)
 		}
@@ -348,7 +350,7 @@ func TestHandoffPreservesReleasedState(t *testing.T) {
 		}
 
 		// Reacquire through the new primary: the committed state moved.
-		ar := acquire(t, rt, b.place, obj, 41, o2pl.Read)
+		ar := acquire(t, rt, obj, 41, o2pl.Read)
 		if ar.Status != gdo.GrantedNow {
 			t.Fatalf("post-handoff acquire = %v, want GrantedNow", ar.Status)
 		}
@@ -358,7 +360,7 @@ func TestHandoffPreservesReleasedState(t *testing.T) {
 		if len(ar.PageMap) != 2 || ar.PageMap[1].Version == 0 {
 			t.Errorf("post-handoff page map %+v lost the committed version", ar.PageMap)
 		}
-		release(t, rt, b.place, obj, 41, nil)
+		release(t, rt, obj, 41, nil)
 	})
 
 	if _, ok := b.hosts[4].PrimaryDir(0); !ok {

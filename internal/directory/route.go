@@ -1,10 +1,14 @@
-// Client-side routing for the replicated control plane.
+// Client-side routing to the directory, in every layout.
 //
 // A RouteTable is one actor's view of the placement map plus the retry
-// discipline around it: stamp the current epoch into the request, call the
-// shard's primary, and react to the two ways the cluster corrects a stale
-// view — a RouteResp carrying a newer map (adopt and retry) and an
-// unreachable primary (ask the shard's backup to promote itself, adopt the
+// discipline around it. Dest names where an object's directory requests
+// go; Call delivers one. In the co-located layout (a map whose shards have
+// no host) each shard's partition lives on the data nodes and Call goes
+// straight to the object's home node. With control-plane hosts, Call
+// stamps the current epoch into the request, calls the shard's primary,
+// and reacts to the two ways the cluster corrects a stale view — a
+// RouteResp carrying a newer map (adopt and retry) and an unreachable
+// primary (ask the shard's backup to promote itself, adopt the
 // post-promotion map, and retry). Requests are never dropped on a route
 // change; they are re-aimed until a current primary accepts them.
 
@@ -36,19 +40,60 @@ const routeAttempts = 64
 // flight) does not hot-loop on RouteResp exchanges.
 const routeBackoff = 200 * time.Microsecond
 
+// Dest addresses one object's directory requests. Requests with equal
+// Dests may share a batch.
+type Dest struct {
+	// Home is the data node serving the shard's partition in the
+	// co-located layout (Placement.HomeNode), or ids.NoNode when a
+	// control-plane host serves the shard.
+	Home  ids.NodeID
+	Shard int32
+}
+
 // RouteTable is safe for concurrent use by every proc of one node.
 type RouteTable struct {
 	env transport.Env
 	rec *stats.Recorder
+	// The layout is fixed at construction: an object's shard and home
+	// never move, only which host is a shard's primary.
+	place  Placement
+	hosted bool
 
 	mu  sync.Mutex
 	cur wire.PlacementMap
 }
 
-// NewRouteTable returns a table starting from the given map. rec may be
-// nil; when set, client-observed failovers are recorded into it.
+// NewRouteTable returns a table starting from the given map: the
+// co-located layout when its shard 0 has no primary (InitialMap with no
+// hosts), else the hosted one. rec may be nil; when set, client-observed
+// failovers are recorded into it.
 func NewRouteTable(env transport.Env, rec *stats.Recorder, initial wire.PlacementMap) *RouteTable {
-	return &RouteTable{env: env, rec: rec, cur: initial.Clone()}
+	return &RouteTable{
+		env:    env,
+		rec:    rec,
+		place:  NewPlacement(initial.NumShards(), int(initial.Nodes)),
+		hosted: initial.NumShards() > 0 && initial.Primary[0] != ids.NoNode,
+		cur:    initial.Clone(),
+	}
+}
+
+// Dest returns where obj's directory requests go. It takes no lock.
+//
+//lotec:noalloc
+func (r *RouteTable) Dest(obj ids.ObjectID) Dest {
+	d := Dest{Home: ids.NoNode, Shard: int32(r.place.ShardOf(obj))}
+	if !r.hosted {
+		d.Home = r.place.HomeNode(obj)
+	}
+	return d
+}
+
+// Sequencer returns the Dest of shard 0, the global commit sequencer, and
+// whether a commit must address it even when it releases no shard-0
+// object. Only hosted shards need that: co-located partitions share one
+// Sharded router, which sequences every commit itself.
+func (r *RouteTable) Sequencer() (Dest, bool) {
+	return Dest{Home: ids.NoNode, Shard: 0}, r.hosted
 }
 
 // Epoch returns the currently adopted map epoch.
@@ -63,13 +108,6 @@ func (r *RouteTable) Map() wire.PlacementMap {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.cur.Clone()
-}
-
-// NumShards returns the shard count of the adopted map.
-func (r *RouteTable) NumShards() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.cur.NumShards()
 }
 
 // Adopt installs m if it is strictly newer than the current map and
@@ -94,12 +132,28 @@ func (r *RouteTable) view(shard int) (primary, backup ids.NodeID, epoch uint64) 
 	return r.cur.Primary[shard], r.cur.Backup[shard], r.cur.Epoch
 }
 
-// Call sends m to the current primary of shard, stamping the adopted
-// epoch, and follows route corrections until a primary answers. It must be
-// called from a proc (it blocks). The reply is never a RouteResp.
-func (r *RouteTable) Call(shard int, m wire.Msg) (wire.Msg, error) {
+// Send delivers m to d without waiting for a reply, for handlers that
+// must not block: a one-way message to the home node when co-located;
+// with hosts, a Call on its own proc, since the adopt-and-retry loop
+// blocks.
+func (r *RouteTable) Send(d Dest, m wire.Msg) {
+	if !r.hosted {
+		_ = r.env.Send(d.Home, m)
+		return
+	}
+	r.env.Go(func() { _, _ = r.Call(d, m) })
+}
+
+// Call sends m to d and returns the reply. It must be called from a proc
+// (it blocks). Co-located, it calls d.Home once. With hosts, it stamps the
+// adopted epoch, calls the current primary of d.Shard, and follows route
+// corrections until a primary answers; the reply is never a RouteResp.
+func (r *RouteTable) Call(d Dest, m wire.Msg) (wire.Msg, error) {
+	if !r.hosted {
+		return r.env.Call(d.Home, m)
+	}
 	for attempt := 0; attempt < routeAttempts; attempt++ {
-		primary, backup, epoch := r.view(shard)
+		primary, backup, epoch := r.view(int(d.Shard))
 		if primary == ids.NoNode {
 			return nil, ErrNoRoute
 		}

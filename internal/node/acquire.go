@@ -99,14 +99,15 @@ func (e *Engine) acquireGlobal(ts *txState, obj ids.ObjectID, mode o2pl.Mode) er
 	if age == 0 {
 		age = uint64(ts.t.Family())
 	}
-	reply, err := e.gdoCall(e.shardOf(obj), e.cfg.HomeFn(obj), &wire.AcquireReq{
+	d := e.cfg.Route.Dest(obj)
+	reply, err := e.cfg.Route.Call(d, &wire.AcquireReq{
 		Obj:    obj,
 		Ref:    ts.t.Ref(),
 		Family: ts.t.Family(),
 		Age:    age,
 		Site:   e.self,
 		Mode:   mode,
-		Shard:  e.shardOf(obj),
+		Shard:  d.Shard,
 	})
 	if err != nil {
 		clearPending()

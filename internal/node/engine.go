@@ -87,19 +87,17 @@ type Config struct {
 	// per-class basis"). Every node of a deployment must configure the
 	// same overrides.
 	ProtocolOverrides map[ids.ClassID]core.Protocol
-	// HomeFn maps an object to the node hosting its GDO partition.
-	HomeFn func(ids.ObjectID) ids.NodeID
-	// ShardFn maps an object to its directory shard. All nodes of a
-	// deployment must agree with the directory's own placement; nil means
-	// a single-shard directory (every object on shard 0).
-	ShardFn func(ids.ObjectID) int
 	// Dir, when non-nil, makes this node serve GDO requests from Dir —
-	// either a single *gdo.Directory or a *directory.Sharded router.
+	// either a single *gdo.Directory or a *directory.Sharded router. Set
+	// it on every node of the co-located layout.
 	Dir directory.Service
-	// Route, when non-nil, sends every GDO request through the replicated
-	// control plane's placement map instead of HomeFn: calls go to the
-	// shard's current primary, stale-epoch rejections re-aim, and an
-	// unreachable primary triggers client-driven backup promotion.
+	// Route is the engine's only way to address the directory; required.
+	// Built from the co-located placement map (directory.InitialMap with
+	// no hosts), it sends each request to the object's home data node.
+	// Built from a hosted map, it sends each request to the shard's current
+	// primary, re-aims on stale-epoch rejections, and promotes the backup
+	// when the primary stops answering. All nodes of a deployment must
+	// share the directory's placement.
 	Route *directory.RouteTable
 	// Rec records the message trace and counters; may be nil.
 	Rec *stats.Recorder
@@ -186,7 +184,7 @@ type Engine struct {
 // transports differ).
 func New(cfg Config) (*Engine, error) {
 	if cfg.Env == nil || cfg.Store == nil || cfg.Schemas == nil || cfg.Methods == nil ||
-		cfg.Manager == nil || cfg.Protocol == nil || cfg.HomeFn == nil {
+		cfg.Manager == nil || cfg.Protocol == nil || cfg.Route == nil {
 		return nil, errors.New("node: incomplete config")
 	}
 	if cfg.MaxRetries <= 0 {
@@ -215,24 +213,6 @@ func New(cfg Config) (*Engine, error) {
 
 // Self returns the node's ID.
 func (e *Engine) Self() ids.NodeID { return e.self }
-
-// shardOf resolves an object's directory shard for outgoing lock messages.
-func (e *Engine) shardOf(obj ids.ObjectID) int32 {
-	if e.cfg.ShardFn == nil {
-		return 0
-	}
-	return int32(e.cfg.ShardFn(obj))
-}
-
-// gdoCall sends a GDO request: through the replicated control plane's route
-// table when configured (the shard's current primary, wherever the placement
-// map says it lives), else directly to the static home node.
-func (e *Engine) gdoCall(shard int32, home ids.NodeID, m wire.Msg) (wire.Msg, error) {
-	if e.cfg.Route != nil {
-		return e.cfg.Route.Call(int(shard), m)
-	}
-	return e.env.Call(home, m)
-}
 
 // Protocol returns the default consistency protocol.
 func (e *Engine) Protocol() core.Protocol { return e.cfg.Protocol }
@@ -661,70 +641,50 @@ func (e *Engine) restampDirty(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.
 	return predicted, nil
 }
 
-// releaseGlobal sends GlobalLockRelease for the given objects, batched per
-// GDO home partition, and verifies the returned page versions against
-// predicted. dirty may be nil (abort path).
+// releaseGlobal sends GlobalLockRelease for the given objects, one batch
+// per directory Dest, and verifies the returned page versions against
+// predicted. dirty may be nil (abort path). Shard-addressed batches let
+// the serving site hand each one straight to the owning partition.
 //
 // Shard 0's directory is the global commit sequencer: a family's first
-// committing release to shard 0 fixes its place in the commit order. Under
-// Route, batches go out one at a time in shard order, so a commit whose
-// objects include none on shard 0 sends shard 0 an empty committing
+// committing release to shard 0 fixes its place in the commit order. With
+// hosted shards, batches go out one at a time in shard order, so a commit
+// whose objects include none on shard 0 sends shard 0 an empty committing
 // release first, and shard 0 fixes the order before any other shard sees
 // the commit.
 func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum, commit bool, predicted map[ids.PageID]uint64) error {
 	if len(objs) == 0 {
 		return nil
 	}
-	// One batch per (home node, directory shard): shard-addressed releases
-	// let the GDO host hand each batch straight to the owning partition.
-	type dest struct {
-		home  ids.NodeID
-		shard int32
-	}
-	byDest := make(map[dest][]gdo.ObjectRelease)
+	byDest := make(map[directory.Dest][]gdo.ObjectRelease)
 	for _, obj := range objs {
-		d := dest{home: e.cfg.HomeFn(obj), shard: e.shardOf(obj)}
-		if e.cfg.Route != nil {
-			// Replicated mode: the shard, not the static home, is the
-			// address — collapse batches per shard.
-			d.home = ids.NoNode
-		}
+		d := e.cfg.Route.Dest(obj)
 		byDest[d] = append(byDest[d], gdo.ObjectRelease{Obj: obj, Dirty: dirty[obj]})
 	}
 	// The sequencer sees every commit, even one with no shard-0 object.
-	if seq := (dest{home: ids.NoNode, shard: 0}); commit && e.cfg.Route != nil && byDest[seq] == nil {
+	if seq, ok := e.cfg.Route.Sequencer(); commit && ok && byDest[seq] == nil {
 		byDest[seq] = nil
 	}
-	dests := make([]dest, 0, len(byDest))
-	for d := range byDest {
-		dests = append(dests, d)
-	}
-	sort.Slice(dests, func(i, j int) bool {
-		if dests[i].home != dests[j].home {
-			return dests[i].home < dests[j].home
-		}
-		return dests[i].shard < dests[j].shard
-	})
 
 	family := fam.root.Family()
 	var verifyErr error
-	for _, d := range dests {
+	for _, d := range sortedDests(byDest) {
 		if e.cfg.Rec != nil {
 			e.cfg.Rec.AddGlobalLockOp()
 		}
-		reply, err := e.gdoCall(d.shard, d.home, &wire.ReleaseReq{
+		reply, err := e.cfg.Route.Call(d, &wire.ReleaseReq{
 			Family: family,
 			Site:   e.self,
 			Commit: commit,
-			Shard:  d.shard,
+			Shard:  d.Shard,
 			Rels:   byDest[d],
 		})
 		if err != nil {
-			return fmt.Errorf("global release to %v: %w", d.home, siteErr(err))
+			return fmt.Errorf("global release to %v: %w", d, siteErr(err))
 		}
 		resp, ok := reply.(*wire.ReleaseResp)
 		if !ok {
-			return fmt.Errorf("global release to %v: unexpected reply %T", d.home, reply)
+			return fmt.Errorf("global release to %v: unexpected reply %T", d, reply)
 		}
 		for _, st := range resp.Stamps {
 			pid := ids.PageID{Object: st.Obj, Page: st.Page}
@@ -741,8 +701,8 @@ func (e *Engine) releaseGlobal(fam *famState, objs []ids.ObjectID, dirty map[ids
 
 // pushUpdates implements the RC extension: send every dirty page to every
 // other site caching the object, acknowledged, before the lock release.
-// The xfer pipeline batches the copy-set lookups per GDO home and the
-// pushes per destination site, across objects.
+// The copy-set lookups are batched per directory Dest, like releases; the
+// xfer pipeline batches the pushes per destination site, across objects.
 func (e *Engine) pushUpdates(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum) error {
 	// One delta decision per batch: deltas only when every pushed object's
 	// protocol is delta-eligible (in practice they all are — only RC pushes).
@@ -753,21 +713,32 @@ func (e *Engine) pushUpdates(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.P
 			break
 		}
 	}
-	homeFn := e.cfg.HomeFn
-	if e.cfg.Route != nil {
-		// Replicated mode: copy-set lookups go to each shard's current
-		// primary per the adopted map. A stale view surfaces as a site
-		// error (the host answers RouteResp), failing this commit rather
-		// than pushing to a wrong copy set.
-		m := e.cfg.Route.Map()
-		homeFn = func(obj ids.ObjectID) ids.NodeID {
-			if s := int(e.shardOf(obj)); s < m.NumShards() {
-				return m.Primary[s]
-			}
-			return e.cfg.HomeFn(obj)
+	return siteErr(e.xfer.Push(objs, dirty, e.copySets, delta))
+}
+
+// copySets looks up the caching sites of every object through Route, one
+// batched CopySetReq per Dest, in release order.
+func (e *Engine) copySets(objs []ids.ObjectID) (map[ids.ObjectID][]ids.NodeID, error) {
+	byDest := make(map[directory.Dest][]ids.ObjectID)
+	for _, obj := range objs {
+		d := e.cfg.Route.Dest(obj)
+		byDest[d] = append(byDest[d], obj)
+	}
+	out := make(map[ids.ObjectID][]ids.NodeID, len(objs))
+	for _, d := range sortedDests(byDest) {
+		reply, err := e.cfg.Route.Call(d, &wire.CopySetReq{Objs: byDest[d]})
+		if err != nil {
+			return nil, err
+		}
+		cs, ok := reply.(*wire.CopySetResp)
+		if !ok {
+			return nil, fmt.Errorf("copyset from %v: unexpected reply %T", d, reply)
+		}
+		for _, set := range cs.Sets {
+			out[set.Obj] = set.Sites
 		}
 	}
-	return siteErr(e.xfer.Push(objs, dirty, homeFn, delta))
+	return out, nil
 }
 
 // completeAll wakes a batch of granted local waiters.
@@ -815,6 +786,22 @@ func (e *Engine) DebugDump() string {
 		add("node %v pending{obj=%v tx=%v}\n", e.self, key.obj, key.tx)
 	}
 	return string(b)
+}
+
+// sortedDests returns m's directory destinations in the order batches go
+// out: home node, then shard, ascending.
+func sortedDests[V any](m map[directory.Dest]V) []directory.Dest {
+	out := make([]directory.Dest, 0, len(m))
+	for d := range m {
+		out = append(out, d)
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Home != out[j].Home {
+			return out[i].Home < out[j].Home
+		}
+		return out[i].Shard < out[j].Shard
+	})
+	return out
 }
 
 // sortedObjKeys returns m's object keys in ascending order; iterating a

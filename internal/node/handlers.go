@@ -20,10 +20,6 @@ func (e *Engine) Handle(from ids.NodeID, m wire.Msg) wire.Msg {
 	case *wire.Abort:
 		e.handleAbort(t)
 		return nil
-	case *wire.FetchReq:
-		return e.handleFetch(t)
-	case *wire.PushReq:
-		return e.handlePush(t)
 	case *wire.MultiFetchReq:
 		return xfer.ServeFetch(e.cfg.Store, e.cfg.Rec, t)
 	case *wire.MultiPushReq:
@@ -49,21 +45,16 @@ func (e *Engine) handleGrant(g *wire.Grant) {
 	fam := e.fams[g.Family]
 	if fam == nil || fam.doomed != nil {
 		// The family is gone (aborted while queued): hand the lock straight
-		// back so no one waits on a ghost holder.
+		// back so no one waits on a ghost holder. Handlers must not block,
+		// so the hand-back does not wait for a reply.
 		e.mu.Unlock()
-		rel := &wire.ReleaseReq{
+		d := e.cfg.Route.Dest(g.Obj)
+		e.cfg.Route.Send(d, &wire.ReleaseReq{
 			Family: g.Family,
 			Site:   e.self,
-			Shard:  g.Shard,
+			Shard:  d.Shard,
 			Rels:   []gdo.ObjectRelease{{Obj: g.Obj}},
-		}
-		if e.cfg.Route != nil {
-			// Handlers must not block; the routed hand-back needs its own
-			// proc for the adopt-and-retry loop.
-			e.env.Go(func() { _, _ = e.cfg.Route.Call(int(g.Shard), rel) })
-		} else {
-			_ = e.env.Send(e.cfg.HomeFn(g.Obj), rel)
-		}
+		})
 		return
 	}
 	entry := fam.entries[g.Obj]
@@ -115,30 +106,4 @@ func (e *Engine) handleAbort(a *wire.Abort) {
 	for _, f := range futs {
 		f.Complete(nil, ErrDeadlockVictim)
 	}
-}
-
-// handleFetch serves legacy single-object Alg 4.5 gather requests (older
-// peers over TCP) through the same xfer serving path as the batched form.
-func (e *Engine) handleFetch(req *wire.FetchReq) wire.Msg {
-	reply := xfer.ServeFetch(e.cfg.Store, e.cfg.Rec, &wire.MultiFetchReq{
-		Demand: req.Demand,
-		Objs:   []wire.ObjPages{{Obj: req.Obj, Pages: req.Pages}},
-	})
-	resp, ok := reply.(*wire.MultiFetchResp)
-	if !ok {
-		return reply // ErrResp
-	}
-	out := &wire.FetchResp{Obj: req.Obj}
-	if len(resp.Objs) == 1 {
-		out.Pages = resp.Objs[0].Pages
-	}
-	return out
-}
-
-// handlePush installs legacy single-object RC pushes through the batched
-// apply path.
-func (e *Engine) handlePush(req *wire.PushReq) wire.Msg {
-	return xfer.ApplyPush(e.cfg.Store, e.cfg.Rec, &wire.MultiPushReq{
-		Objs: []wire.ObjPayload{{Obj: req.Obj, Pages: req.Pages}},
-	})
 }

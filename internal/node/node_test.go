@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"lotec/internal/core"
+	"lotec/internal/directory"
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
 	"lotec/internal/netmodel"
@@ -56,8 +57,8 @@ func newRig(t *testing.T, nodes int, p core.Protocol) *rig {
 			Methods:  r.methods,
 			Manager:  mgr,
 			Protocol: p,
-			HomeFn:   r.dir.HomeNode,
 			Dir:      r.dir,
+			Route:    directory.NewRouteTable(r.net.Env(id), nil, directory.InitialMap(1, nodes, nil, false)),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -248,15 +249,16 @@ func TestHandleFetchMissingPage(t *testing.T) {
 	r := newRig(t, 2, nil)
 	cls := r.addClass(t)
 	r.createObject(t, 1, cls.ID, 1)
+	fetch := &wire.MultiFetchReq{Objs: []wire.ObjPages{{Obj: 1, Pages: []ids.PageNum{0}}}}
 	// Node 2 has no resident pages: fetching from it must error.
-	reply := r.engines[2].Handle(1, &wire.FetchReq{Obj: 1, Pages: []ids.PageNum{0}})
+	reply := r.engines[2].Handle(1, fetch)
 	if _, ok := reply.(*wire.ErrResp); !ok {
 		t.Errorf("reply = %T, want ErrResp", reply)
 	}
 	// Fetching resident pages from the owner succeeds.
-	reply = r.engines[1].Handle(2, &wire.FetchReq{Obj: 1, Pages: []ids.PageNum{0}})
-	fr, ok := reply.(*wire.FetchResp)
-	if !ok || len(fr.Pages) != 1 || fr.Pages[0].Version != 1 {
+	reply = r.engines[1].Handle(2, fetch)
+	fr, ok := reply.(*wire.MultiFetchResp)
+	if !ok || len(fr.Objs) != 1 || len(fr.Objs[0].Pages) != 1 || fr.Objs[0].Pages[0].Version != 1 {
 		t.Errorf("reply = %+v", reply)
 	}
 }
@@ -268,8 +270,14 @@ func TestHandlePushVersionRules(t *testing.T) {
 	eng := r.engines[1]
 	newData := bytes.Repeat([]byte{7}, 64)
 
+	push := func(version uint64) wire.Msg {
+		return eng.Handle(2, &wire.MultiPushReq{Objs: []wire.ObjPayload{{
+			Obj: 1, Pages: []wire.PagePayload{{Page: 0, Version: version, Data: newData}},
+		}}})
+	}
+
 	// Older or equal versions are ignored.
-	reply := eng.Handle(2, &wire.PushReq{Obj: 1, Pages: []wire.PagePayload{{Page: 0, Version: 1, Data: newData}}})
+	reply := push(1)
 	if _, ok := reply.(*wire.PushResp); !ok {
 		t.Fatalf("reply = %T", reply)
 	}
@@ -278,7 +286,7 @@ func TestHandlePushVersionRules(t *testing.T) {
 		t.Error("equal-version push should be ignored")
 	}
 	// Newer versions install.
-	reply = eng.Handle(2, &wire.PushReq{Obj: 1, Pages: []wire.PagePayload{{Page: 0, Version: 5, Data: newData}}})
+	reply = push(5)
 	if _, ok := reply.(*wire.PushResp); !ok {
 		t.Fatalf("reply = %T", reply)
 	}
@@ -303,7 +311,7 @@ func TestHandleRejectsGDOMessagesWithoutDirectory(t *testing.T) {
 		Methods:  r.methods,
 		Manager:  txn.NewManager(),
 		Protocol: core.LOTEC,
-		HomeFn:   func(ids.ObjectID) ids.NodeID { return 1 },
+		Route:    directory.NewRouteTable(r.net.Env(1), nil, directory.InitialMap(1, 1, nil, false)),
 	})
 	if err != nil {
 		t.Fatal(err)

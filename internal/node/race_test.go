@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"lotec/internal/core"
+	"lotec/internal/directory"
 	"lotec/internal/gdo"
 	"lotec/internal/ids"
 	"lotec/internal/node"
@@ -211,15 +212,16 @@ func newThreadCluster(t *testing.T, net *threadNet, nodes int) map[ids.NodeID]*n
 	engines := make(map[ids.NodeID]*node.Engine)
 	for i := 1; i <= nodes; i++ {
 		id := ids.NodeID(i)
+		env := &threadEnv{net: net, self: id}
 		eng, err := node.New(node.Config{
-			Env:      &threadEnv{net: net, self: id},
+			Env:      env,
 			Store:    pstore.NewStore(64),
 			Schemas:  schemas,
 			Methods:  methods,
 			Manager:  txn.NewManagerAt(uint64(id) << 40),
 			Protocol: core.LOTEC,
-			HomeFn:   dir.HomeNode,
 			Dir:      dir,
+			Route:    directory.NewRouteTable(env, nil, directory.InitialMap(1, nodes, nil, false)),
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -173,8 +173,6 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 		methods: node.NewMethodTable(),
 	}
 	s.net = NewTCPNet(cfg.Self, cfg.Topology.addrMap())
-	gdoNode := cfg.Topology.GDONode()
-	place := cfg.Topology.Placement()
 	// Every GDO request goes through a route table seeded with the
 	// deployment's initial map: requests carry the adopted epoch and a
 	// RouteResp from the directory (stale epoch, relocated shard) re-aims
@@ -188,8 +186,6 @@ func NewNodeServer(cfg NodeConfig) (*NodeServer, error) {
 		Manager:           txn.NewManagerAt(uint64(cfg.Self) << 40),
 		Protocol:          cfg.Protocol,
 		ProtocolOverrides: cfg.ProtocolOverrides,
-		HomeFn:            func(ids.ObjectID) ids.NodeID { return gdoNode },
-		ShardFn:           place.ShardOf,
 		Route:             route,
 		Rec:               cfg.Rec,
 		FetchConcurrency:  cfg.FetchConcurrency,

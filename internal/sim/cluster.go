@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"time"
 
 	"lotec/internal/core"
@@ -39,11 +40,9 @@ type Config struct {
 	// Net is the simulated network (default fast Ethernet + 20 µs software
 	// cost, the paper's mid-range configuration).
 	Net netmodel.Params
-	// Strict enforces declared access sets (default true — the paper's
-	// conservative compiler).
-	Strict bool
-	// Lenient disables Strict (kept separate so the zero value of Config
-	// means strict).
+	// Lenient allows accesses outside declared sets, satisfied by demand
+	// fetches (the §4.3 fallback). The zero value enforces them, like the
+	// paper's conservative compiler.
 	Lenient bool
 	// MaxRetries bounds deadlock retries per root (default 20).
 	MaxRetries int
@@ -65,7 +64,7 @@ type Config struct {
 	// to the simulator defaults). Only consulted when Faults is non-nil.
 	Retry transport.RetryPolicy
 	// DeltaOff disables sub-page delta transfers (kept as the negative so
-	// the zero value of Config means deltas on, like Strict/Lenient). With
+	// the zero value of Config means deltas on, like Lenient). With
 	// deltas off the wire traffic is byte-identical to the pre-delta data
 	// plane.
 	DeltaOff bool
@@ -77,8 +76,8 @@ type Config struct {
 	// control-plane host nodes (N+1 .. N+Replicas) speaking the replicated
 	// shard protocol: primary/backup op-log replication, epoch-stamped
 	// placement, backup promotion on primary crash, and online shard
-	// handoff (Reshard). Engines route lock traffic through a per-node
-	// RouteTable instead of HomeFn. 1 means unreplicated-but-relocatable
+	// handoff (Reshard). Each engine's RouteTable aims lock traffic at
+	// the shard's current primary. 1 means unreplicated-but-relocatable
 	// (no backups): the topology of a TCP deployment, whose GDO process is
 	// one such host, so every directory op is a simulated round trip.
 	// Default 0 keeps the paper's co-located layout and its exact traces.
@@ -103,7 +102,6 @@ func (c Config) withDefaults() Config {
 	if c.Net.BandwidthBps == 0 {
 		c.Net = netmodel.Ethernet100.WithSoftwareCost(20 * time.Microsecond)
 	}
-	c.Strict = !c.Lenient
 	if c.MaxRetries <= 0 {
 		c.MaxRetries = 20
 	}
@@ -130,11 +128,13 @@ type Cluster struct {
 	stores  map[ids.NodeID]*pstore.Store
 	objGen  ids.ObjectIDGenerator
 
-	// Replicated control plane (Replicas > 0); empty in legacy mode.
-	hosts      map[ids.NodeID]*directory.Host
-	hostIDs    []ids.NodeID
+	// place and initialMap describe the layout: the co-located map (no
+	// hosts) by default, the replicated control plane's when Replicas > 0.
 	place      directory.Placement
 	initialMap wire.PlacementMap
+	// Replicated control plane (Replicas > 0); empty when co-located.
+	hosts   map[ids.NodeID]*directory.Host
+	hostIDs []ids.NodeID
 
 	results  []*Result
 	reshards []*ReshardOutcome
@@ -177,21 +177,15 @@ func NewCluster(cfg Config) (*Cluster, error) {
 		stores:  make(map[ids.NodeID]*pstore.Store, cfg.Nodes),
 	}
 	simSize := cfg.Nodes
-	homeFn := c.dir.HomeNode
 	if cfg.Replicas > 0 {
 		simSize = cfg.Nodes + cfg.Replicas
 		for i := 0; i < cfg.Replicas; i++ {
 			c.hostIDs = append(c.hostIDs, ids.NodeID(cfg.Nodes+1+i))
 		}
 		c.hosts = make(map[ids.NodeID]*directory.Host, cfg.Replicas)
-		c.place = directory.NewPlacement(cfg.DirectoryShards, cfg.Nodes)
-		c.initialMap = directory.InitialMap(cfg.DirectoryShards, cfg.Nodes, c.hostIDs, cfg.SpreadShards)
-		// HomeFn survives as the engines' fallback only; with a RouteTable
-		// configured every lock message is routed by the adopted map.
-		homeFn = func(obj ids.ObjectID) ids.NodeID {
-			return c.initialMap.Primary[c.place.ShardOf(obj)]
-		}
 	}
+	c.place = c.dir.Placement()
+	c.initialMap = directory.InitialMap(cfg.DirectoryShards, cfg.Nodes, c.hostIDs, cfg.SpreadShards)
 	c.net = transport.NewSimNet(simSize, cfg.Net, c.rec)
 	faultsActive := false
 	if cfg.Faults != nil {
@@ -212,11 +206,9 @@ func NewCluster(cfg Config) (*Cluster, error) {
 	for i := 1; i <= cfg.Nodes; i++ {
 		id := ids.NodeID(i)
 		var dirSvc directory.Service = c.dir
-		var route *directory.RouteTable
 		if cfg.Replicas > 0 {
 			// Lock traffic goes to the control-plane hosts, not peers.
 			dirSvc = nil
-			route = directory.NewRouteTable(c.net.Env(id), c.rec, c.initialMap)
 		}
 		store := pstore.NewStore(cfg.PageSize)
 		eng, err := node.New(node.Config{
@@ -227,14 +219,12 @@ func NewCluster(cfg Config) (*Cluster, error) {
 			Manager:           c.mgr,
 			Protocol:          cfg.Protocol,
 			ProtocolOverrides: cfg.ProtocolOverrides,
-			HomeFn:            homeFn,
-			ShardFn:           c.dir.ShardOf,
 			Dir:               dirSvc,
-			Route:             route,
+			Route:             directory.NewRouteTable(c.net.Env(id), c.rec, c.initialMap),
 			Rec:               c.rec,
 			MaxRetries:        cfg.MaxRetries,
 			FetchConcurrency:  cfg.FetchConcurrency,
-			Strict:            cfg.Strict,
+			Strict:            !cfg.Lenient,
 			DeltaOff:          cfg.DeltaOff,
 			DeltaJournalDepth: cfg.DeltaJournalDepth,
 		})
@@ -367,20 +357,30 @@ func (c *Cluster) FailedResults() []*Result {
 // Now returns the cluster's virtual time.
 func (c *Cluster) Now() time.Duration { return c.net.Now() }
 
-// commitSeqOf resolves a family's global commit sequence: from the Sharded
-// router in legacy mode, from shard 0's current primary (the replicated
-// sequencer) otherwise.
+// commitSeqOf resolves a family's global commit sequence from shard 0,
+// the sequencer.
 func (c *Cluster) commitSeqOf(fam ids.FamilyID) uint64 {
-	if len(c.hosts) == 0 {
-		seq, _ := c.dir.CommitSeq(fam)
-		return seq
-	}
-	d := c.primaryDirOf(0)
+	d := c.shardDir(0)
 	if d == nil {
 		return 0
 	}
 	seq, _ := d.CommitSeq(fam)
 	return seq
+}
+
+// shardDir returns shard s's authoritative directory: the Sharded
+// partition when co-located, else the current primary's replica (nil when
+// no live host claims the shard).
+func (c *Cluster) shardDir(s int) *gdo.Directory {
+	if len(c.hosts) == 0 {
+		return c.dir.Shard(s)
+	}
+	h := c.primaryHostOf(s)
+	if h == nil {
+		return nil
+	}
+	d, _ := h.PrimaryDir(s)
+	return d
 }
 
 // primaryHostOf finds the host currently serving shard as primary: the one
@@ -406,40 +406,23 @@ func (c *Cluster) primaryHostOf(shard int) *directory.Host {
 	return best
 }
 
-// primaryDirOf returns the directory of shard's current primary (nil when
-// no live host claims it).
-func (c *Cluster) primaryDirOf(shard int) *gdo.Directory {
-	h := c.primaryHostOf(shard)
-	if h == nil {
-		return nil
-	}
-	d, _ := h.PrimaryDir(shard)
-	return d
-}
-
-// pageMapOf reads an object's authoritative page map from whichever
-// directory currently owns it.
+// pageMapOf reads an object's authoritative page map from its shard's
+// directory.
 func (c *Cluster) pageMapOf(obj ids.ObjectID) ([]gdo.PageLoc, error) {
-	if len(c.hosts) == 0 {
-		return c.dir.PageMap(obj)
-	}
 	shard := c.place.ShardOf(obj)
-	d := c.primaryDirOf(shard)
+	d := c.shardDir(shard)
 	if d == nil {
 		return nil, fmt.Errorf("sim: no current primary for shard %d of %v", shard, obj)
 	}
 	return d.PageMap(obj)
 }
 
-// objects enumerates the registered object universe from the authoritative
-// directories (each shard's current primary in replicated mode).
+// objects enumerates the registered object universe from every shard's
+// directory, ascending.
 func (c *Cluster) objects() []ids.ObjectID {
-	if len(c.hosts) == 0 {
-		return c.dir.Objects()
-	}
 	var out []ids.ObjectID
 	for s := 0; s < c.cfg.DirectoryShards; s++ {
-		if d := c.primaryDirOf(s); d != nil {
+		if d := c.shardDir(s); d != nil {
 			out = append(out, d.Objects()...)
 		}
 	}
@@ -447,29 +430,22 @@ func (c *Cluster) objects() []ids.ObjectID {
 	return out
 }
 
-// DirectoryDump renders the undrained lock state of the authoritative
-// directory — the Sharded router in legacy mode, each shard's current
-// primary in replicated mode (deposed and crashed ex-primaries excluded).
+// DirectoryDump renders the undrained lock state of every shard's
+// directory (with hosts, deposed and crashed ex-primaries excluded).
 // Empty means fully drained.
 func (c *Cluster) DirectoryDump() string {
-	if len(c.hosts) == 0 {
-		return c.dir.DebugDump()
-	}
-	out := ""
+	var b strings.Builder
 	for s := 0; s < c.cfg.DirectoryShards; s++ {
-		h := c.primaryHostOf(s)
-		if h == nil {
-			continue
-		}
-		d, _ := h.PrimaryDir(s)
-		if dump := d.DebugDump(); dump != "" {
-			out += fmt.Sprintf("shard %d@host %v:\n%s", s, h.Self(), dump)
+		if d := c.shardDir(s); d != nil {
+			if dump := d.DebugDump(); dump != "" {
+				fmt.Fprintf(&b, "shard %d:\n%s", s, dump)
+			}
 		}
 	}
-	return out
+	return b.String()
 }
 
-// Hosts returns the control-plane host IDs (empty in legacy mode).
+// Hosts returns the control-plane host IDs (empty when co-located).
 func (c *Cluster) Hosts() []ids.NodeID { return append([]ids.NodeID(nil), c.hostIDs...) }
 
 // Host returns a control-plane host by node ID (tests and oracles).
@@ -522,7 +498,7 @@ func (c *Cluster) Reshard(at time.Duration, shard int, target ids.NodeID) error 
 		}
 		out := &ReshardOutcome{Shard: shard, Target: target}
 		for attempt := 0; attempt < 8; attempt++ {
-			reply, err := rt.Call(shard, &wire.HandoffStartReq{Shard: int32(shard), Target: target})
+			reply, err := rt.Call(directory.Dest{Shard: int32(shard)}, &wire.HandoffStartReq{Shard: int32(shard), Target: target})
 			if err != nil {
 				out.Err = err
 				break

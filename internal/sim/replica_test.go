@@ -119,38 +119,50 @@ func TestReplicatedPrimaryKill(t *testing.T) {
 		for _, spread := range []bool{false, true} {
 			seed, spread := seed, spread
 			t.Run(fmt.Sprintf("seed=%d/spread=%v", seed, spread), func(t *testing.T) {
-				w, err := GenerateWorkload(chaosWorkload(int64(seed)))
-				if err != nil {
-					t.Fatalf("generate: %v", err)
-				}
-				// Host 5 is the first control-plane host (4 data nodes);
-				// with spread=false it is primary of every shard, spread=true
-				// primary of half. Until=0 means it never comes back.
-				plan, err := fault.Parse("crash(node=5,at=1ms)", seed)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cfg := replicatedConfig(core.LOTEC, 2, plan)
-				cfg.SpreadShards = spread
-				c := runChaosWorkloadIn(t, seed, w, cfg)
-
-				if got := c.CurrentMap().Epoch; got < 2 {
-					t.Errorf("epoch = %d after primary kill, want >= 2 (promotion)", got)
-				}
-				if n := c.Recorder().Counters().Promotions; n < 1 {
-					t.Errorf("promotions = %d, want >= 1", n)
-				}
-				if n := len(c.Recorder().Failovers()); n < 1 {
-					t.Errorf("no client-observed failover recorded")
-				}
-				// The dead host must no longer be named primary anywhere.
-				m := c.CurrentMap()
-				for s := 0; s < m.NumShards(); s++ {
-					if m.Primary[s] == ids.NodeID(5) {
-						t.Errorf("shard %d still names dead host 5 as primary", s)
-					}
+				// RC's copy-set lookups must fail over with every other
+				// directory request.
+				for _, proto := range []core.Protocol{core.LOTEC, core.RC} {
+					t.Run(proto.Name(), func(t *testing.T) {
+						primaryKill(t, seed, spread, proto)
+					})
 				}
 			})
+		}
+	}
+}
+
+// primaryKill runs one TestReplicatedPrimaryKill cell.
+func primaryKill(t *testing.T, seed uint64, spread bool, proto core.Protocol) {
+	t.Helper()
+	w, err := GenerateWorkload(chaosWorkload(int64(seed)))
+	if err != nil {
+		t.Fatalf("generate: %v", err)
+	}
+	// Host 5 is the first control-plane host (4 data nodes); with
+	// spread=false it is primary of every shard, spread=true primary of
+	// half. Until=0 means it never comes back.
+	plan, err := fault.Parse("crash(node=5,at=1ms)", seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := replicatedConfig(proto, 2, plan)
+	cfg.SpreadShards = spread
+	c := runChaosWorkloadIn(t, seed, w, cfg)
+
+	if got := c.CurrentMap().Epoch; got < 2 {
+		t.Errorf("epoch = %d after primary kill, want >= 2 (promotion)", got)
+	}
+	if n := c.Recorder().Counters().Promotions; n < 1 {
+		t.Errorf("promotions = %d, want >= 1", n)
+	}
+	if n := len(c.Recorder().Failovers()); n < 1 {
+		t.Errorf("no client-observed failover recorded")
+	}
+	// The dead host must no longer be named primary anywhere.
+	m := c.CurrentMap()
+	for s := 0; s < m.NumShards(); s++ {
+		if m.Primary[s] == ids.NodeID(5) {
+			t.Errorf("shard %d still names dead host 5 as primary", s)
 		}
 	}
 }

@@ -314,15 +314,14 @@ func (e *Engine) applyFetch(calls []transport.GroupCall, results []transport.Gro
 }
 
 // Push runs the scatter direction of the pipeline (the §6 RC extension):
-// look up the copy set of every dirty object — batched into one CopySetReq
-// per GDO home site — stage each object's dirty pages once, batch the
-// payloads by destination site across objects, and push each site's batch
-// acknowledged under the concurrency bound. homeFn maps an object to its
-// GDO home. With delta set (the protocol is delta-eligible and deltas are
+// look up the copy set of every dirty object with one copySets call (the
+// caller batches the directory requests), stage each object's dirty pages
+// once, batch the payloads by destination site across objects, and push
+// each site's batch acknowledged under the concurrency bound. With delta set (the protocol is delta-eligible and deltas are
 // on), each page is staged as its newest journal epoch's dirty ranges when
 // that beats the full page; a pushee not at the delta's base evicts its
 // stale copy (see ApplyPush).
-func (e *Engine) Push(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum, homeFn func(ids.ObjectID) ids.NodeID, delta bool) error {
+func (e *Engine) Push(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum, copySets func([]ids.ObjectID) (map[ids.ObjectID][]ids.NodeID, error), delta bool) error {
 	t0 := e.Env.Now()
 	var withPages []ids.ObjectID
 	for _, obj := range objs {
@@ -333,7 +332,7 @@ func (e *Engine) Push(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum,
 	if len(withPages) == 0 {
 		return nil
 	}
-	copySets, err := e.copySets(withPages, homeFn)
+	sites, err := copySets(withPages)
 	if err != nil {
 		return err
 	}
@@ -396,7 +395,7 @@ func (e *Engine) Push(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum,
 	byDest := make(map[ids.NodeID][]wire.ObjPayload)
 	var dests []ids.NodeID
 	for _, obj := range withPages {
-		for _, site := range copySets[obj] {
+		for _, site := range sites[obj] {
 			if site == self {
 				continue
 			}
@@ -448,34 +447,4 @@ func (e *Engine) Push(objs []ids.ObjectID, dirty map[ids.ObjectID][]ids.PageNum,
 		})
 	}
 	return nil
-}
-
-// copySets fetches the caching sites of every object, one batched
-// CopySetReq per GDO home site (homes ascending).
-func (e *Engine) copySets(objs []ids.ObjectID, homeFn func(ids.ObjectID) ids.NodeID) (map[ids.ObjectID][]ids.NodeID, error) {
-	byHome := make(map[ids.NodeID][]ids.ObjectID)
-	var homes []ids.NodeID
-	for _, obj := range objs {
-		home := homeFn(obj)
-		if _, seen := byHome[home]; !seen {
-			homes = append(homes, home)
-		}
-		byHome[home] = append(byHome[home], obj)
-	}
-	sort.Slice(homes, func(i, j int) bool { return homes[i] < homes[j] })
-	out := make(map[ids.ObjectID][]ids.NodeID, len(objs))
-	for _, home := range homes {
-		reply, err := e.Env.Call(home, &wire.CopySetReq{Objs: byHome[home]})
-		if err != nil {
-			return nil, err
-		}
-		cs, ok := reply.(*wire.CopySetResp)
-		if !ok {
-			return nil, fmt.Errorf("copyset from %v: unexpected reply %T", home, reply)
-		}
-		for _, set := range cs.Sets {
-			out[set.Obj] = set.Sites
-		}
-	}
-	return out, nil
 }

@@ -257,8 +257,8 @@ func TestFetchServeError(t *testing.T) {
 }
 
 // TestPushEndToEnd drives the scatter direction: dirty pages at site 1 land
-// at every copy-set site in one batched push per destination, with one
-// copy-set lookup per home.
+// at every copy-set site in one batched push per destination, after one
+// copy-set lookup for every dirty object.
 func TestPushEndToEnd(t *testing.T) {
 	c := newTestCluster(t, 4)
 	c.seed(t, 60, 2, 1)
@@ -277,9 +277,20 @@ func TestPushEndToEnd(t *testing.T) {
 		60: c.stores[1].DirtyPages(60),
 		61: c.stores[1].DirtyPages(61),
 	}
-	home := func(ids.ObjectID) ids.NodeID { return 4 }
 	rec := c.run(t, func(e *Engine) {
-		if err := e.Push([]ids.ObjectID{60, 61}, dirty, home, false); err != nil {
+		// The directory at site 4 answers every lookup.
+		lookup := func(objs []ids.ObjectID) (map[ids.ObjectID][]ids.NodeID, error) {
+			reply, err := e.Env.Call(4, &wire.CopySetReq{Objs: objs})
+			if err != nil {
+				return nil, err
+			}
+			out := make(map[ids.ObjectID][]ids.NodeID)
+			for _, set := range reply.(*wire.CopySetResp).Sets {
+				out[set.Obj] = set.Sites
+			}
+			return out, nil
+		}
+		if err := e.Push([]ids.ObjectID{60, 61}, dirty, lookup, false); err != nil {
 			t.Errorf("push: %v", err)
 		}
 	})
@@ -304,7 +315,7 @@ func TestPushEndToEnd(t *testing.T) {
 	if tot.Transfers != 1 || tot.Batches != 3 || tot.Pages != 4 {
 		t.Errorf("push totals: %+v", tot)
 	}
-	// One CopySetReq for the single home site, batching both objects.
+	// One lookup, batching both objects.
 	lookups := 0
 	for _, m := range c.netRec.Trace() {
 		if m.Kind == stats.KindLockReq && m.To == 4 {
